@@ -1,6 +1,7 @@
 #include "fp8/cast.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -210,7 +211,11 @@ float fp8_decode(std::uint8_t code, const FormatSpec& spec) {
 float fp8_quantize(float x, const FormatSpec& spec, const CastOptions& opts) {
   const int m = spec.man_bits;
 
-  if (std::isnan(x)) return x;
+  // NaN keeps its sign and payload with the quiet bit set, as the batch
+  // kernel's scale multiply leaves it (fp8/cast_fast.h).
+  if (std::isnan(x)) {
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(x) | 0x00400000u);
+  }
   if (std::isinf(x)) {
     if (opts.overflow == OverflowPolicy::kInfinityNan) {
       return spec.has_infinity() ? x : std::numeric_limits<float>::quiet_NaN();

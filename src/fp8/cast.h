@@ -41,8 +41,9 @@ struct CastOptions {
 [[nodiscard]] float fp8_decode(std::uint8_t code, const FormatSpec& spec);
 
 /// Fused quantize-dequantize: the float32 value nearest-representable in
-/// `spec`. Equal to fp8_decode(fp8_encode(x)) for every input (tested
-/// exhaustively) but avoids the intermediate code.
+/// `spec`. Equal to fp8_decode(fp8_encode(x)) for every non-NaN input
+/// (tested exhaustively) but avoids the intermediate code. A NaN input
+/// comes back with its sign and payload and the quiet bit set.
 [[nodiscard]] float fp8_quantize(float x, const FormatSpec& spec,
                                  const CastOptions& opts = {});
 

@@ -26,8 +26,8 @@ float fp8_quantize_fast(float x, const FastCastSpec& spec) {
   std::uint32_t au = u & 0x7FFFFFFFu;
 
   if (au >= 0x7F800000u) {
-    // NaN passes through; +/-Inf saturates to +/-max.
-    if (au > 0x7F800000u) return x;
+    // NaN passes through quietened (payload kept); +/-Inf saturates to +/-max.
+    if (au > 0x7F800000u) return std::bit_cast<float>(u | 0x00400000u);
     return std::bit_cast<float>(sign | spec.max_bits);
   }
   if (au <= spec.half_min_sub) {

@@ -15,6 +15,11 @@
 //                               per-lane control flow). Bit-identical to
 //                               the scalar path, including NaN payloads.
 //
+// NaN rule, shared with fp8_quantize: a NaN input comes back with its sign
+// and payload and the quiet bit (0x00400000) set, so a signalling NaN is
+// quietened (7f800001 -> 7fc00001) on every path. The batch kernel gets
+// this from its final multiply by 1/scale, which quietens any NaN.
+//
 // The packed GEMM kernels (nn/packed_gemm.h, docs/KERNELS.md) apply the
 // same design to the DECODE direction: fp8_decode_bits in fp8/packed.h is
 // the uint32-lane counterpart of fp8_quantize_batch's encode, with the
@@ -55,7 +60,7 @@ struct CastTally {
   std::uint64_t flushed = 0;
 };
 
-/// RNE + saturating fake quantization; NaN passes through.
+/// RNE + saturating fake quantization; NaN passes through quietened.
 [[nodiscard]] float fp8_quantize_fast(float x, const FastCastSpec& spec);
 
 /// Batched chunk kernel: out[i] = fp8_quantize_fast(in[i] * scale) / scale

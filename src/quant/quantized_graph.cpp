@@ -19,7 +19,7 @@ namespace fp8q {
 QuantizedGraph::QuantizedGraph(Graph* graph, ModelQuantConfig config)
     : graph_(graph), config_(std::move(config)) {
   if (!graph_) throw std::invalid_argument("QuantizedGraph: null graph");
-  select_quantized_nodes();
+  quantized_nodes_ = quantized_node_set(*graph_, config_);
 }
 
 QuantizedGraph::~QuantizedGraph() {
@@ -27,20 +27,39 @@ QuantizedGraph::~QuantizedGraph() {
   graph_->clear_taps();
 }
 
-void QuantizedGraph::select_quantized_nodes() {
-  quantized_nodes_.clear();
-  const Graph::NodeId first = graph_->first_compute_node();
-  const Graph::NodeId last = graph_->last_compute_node();
-  for (Graph::NodeId id : graph_->quantizable_nodes()) {
-    const OpKind kind = graph_->node(id).kind;
-    if (is_extended_op(kind) && !config_.scheme.quantize_extended_ops) continue;
-    if (config_.fallback_nodes.contains(id)) continue;
-    if (config_.fallback_kinds.contains(kind)) continue;
-    if (config_.is_cnn && config_.scheme.skip_first_last && (id == first || id == last)) {
+std::set<Graph::NodeId> quantized_node_set(const Graph& graph,
+                                          const ModelQuantConfig& config) {
+  std::set<Graph::NodeId> nodes;
+  const Graph::NodeId first = graph.first_compute_node();
+  const Graph::NodeId last = graph.last_compute_node();
+  for (Graph::NodeId id : graph.quantizable_nodes()) {
+    const OpKind kind = graph.node(id).kind;
+    if (is_extended_op(kind) && !config.scheme.quantize_extended_ops) continue;
+    if (config.fallback_nodes.contains(id)) continue;
+    if (config.fallback_kinds.contains(kind)) continue;
+    if (config.is_cnn && config.scheme.skip_first_last && (id == first || id == last)) {
       continue;
     }
-    quantized_nodes_.insert(id);
+    nodes.insert(id);
   }
+  return nodes;
+}
+
+double quantized_compute_fraction(const Graph& graph,
+                                  const std::set<Graph::NodeId>& quantized_nodes) {
+  // Weight each compute op by its parameter count (weightless MatMuls
+  // count a nominal 1 so attention coverage is still visible).
+  double total = 0.0;
+  double covered = 0.0;
+  for (Graph::NodeId id : graph.node_ids()) {
+    const auto& node = graph.node(id);
+    if (!node.op || !is_compute_op(node.kind)) continue;
+    const double weight =
+        std::max<double>(1.0, static_cast<double>(node.op->param_count()));
+    total += weight;
+    if (quantized_nodes.contains(id)) covered += weight;
+  }
+  return total > 0.0 ? covered / total : 0.0;
 }
 
 bool QuantizedGraph::slot_quantized(Graph::NodeId id, int slot) const {
@@ -176,7 +195,7 @@ void QuantizedGraph::calibrate_batchnorm(
 void QuantizedGraph::prepare(std::span<const std::vector<Tensor>> calib_batches) {
   TraceSpan span("qgraph/prepare");
   if (prepared_) restore_weights();
-  select_quantized_nodes();
+  quantized_nodes_ = quantized_node_set(*graph_, config_);
 
   // Back up every weight we may touch (SmoothQuant folding included).
   weight_backup_.clear();
@@ -311,22 +330,6 @@ void QuantizedGraph::restore_weights() {
 float QuantizedGraph::activation_clip(Graph::NodeId id, int slot) const {
   const auto it = clips_.find({id, slot});
   return it != clips_.end() ? it->second : 0.0f;
-}
-
-double QuantizedGraph::quantized_compute_fraction() const {
-  // Weight each compute op by its parameter count (weightless MatMuls
-  // count a nominal 1 so attention coverage is still visible).
-  double total = 0.0;
-  double covered = 0.0;
-  for (Graph::NodeId id : graph_->node_ids()) {
-    auto& node = graph_->node(id);
-    if (!node.op || !is_compute_op(node.kind)) continue;
-    const double weight =
-        std::max<double>(1.0, static_cast<double>(node.op->param_count()));
-    total += weight;
-    if (quantized_nodes_.contains(id)) covered += weight;
-  }
-  return total > 0.0 ? covered / total : 0.0;
 }
 
 }  // namespace fp8q

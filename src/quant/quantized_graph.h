@@ -36,6 +36,22 @@ struct ModelQuantConfig {
   int bn_calibration_batches = 0;
 };
 
+/// The nodes that participate in quantization when `config` is applied to
+/// `graph`: quantizable ops minus extended ops (unless the scheme covers
+/// them), fallback nodes and kinds, and the CNN first/last exception.
+/// QuantizedGraph selects its nodes with this; the tuner calls it on the
+/// plan's prototype, so no clone is needed to learn the covered set.
+[[nodiscard]] std::set<Graph::NodeId> quantized_node_set(const Graph& graph,
+                                                         const ModelQuantConfig& config);
+
+/// Parameter-weighted fraction of `graph`'s compute operators that lie in
+/// `quantized_nodes` (weightless ops count a nominal 1) -- the efficiency
+/// axis of the tuner's accuracy/performance trade-off (Appendix A.1: "the
+/// more operators converted to low precision, the worse the precision").
+/// 1.0 = every compute op quantized.
+[[nodiscard]] double quantized_compute_fraction(const Graph& graph,
+                                                const std::set<Graph::NodeId>& quantized_nodes);
+
 class QuantizedGraph {
  public:
   /// The graph must outlive this object. Weights are modified in place
@@ -76,14 +92,7 @@ class QuantizedGraph {
   /// Returns 0 if the slot has no static parameters.
   [[nodiscard]] float activation_clip(Graph::NodeId id, int slot) const;
 
-  /// Parameter-weighted fraction of compute operators running quantized --
-  /// the efficiency axis of the tuner's accuracy/performance trade-off
-  /// (Appendix A.1: "the more operators converted to low precision, the
-  /// worse the precision"). 1.0 = every compute op quantized.
-  [[nodiscard]] double quantized_compute_fraction() const;
-
  private:
-  void select_quantized_nodes();
   void run_smoothquant(std::span<const std::vector<Tensor>> calib_batches);
   void quantize_weights();
   void calibrate_activations(std::span<const std::vector<Tensor>> calib_batches);

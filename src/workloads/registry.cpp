@@ -598,19 +598,26 @@ std::vector<AccuracyRecord> evaluate_suite(const std::vector<Workload>& suite,
                                            const std::vector<SchemeConfig>& schemes,
                                            const EvalProtocol& protocol,
                                            const std::function<void(int)>& progress) {
-  const auto n_schemes = static_cast<std::int64_t>(schemes.size());
-  const auto total = static_cast<std::int64_t>(suite.size()) * n_schemes;
+  const std::size_t n_schemes = schemes.size();
+  std::vector<AccuracyRecord> records(suite.size() * n_schemes);
+  if (n_schemes == 0) return records;
   std::atomic<int> completed{0};
-  // One task per (workload, scheme) pair; parallel_map stores each record
-  // at its pair index, so the returned order matches the serial double
-  // loop no matter how tasks are scheduled.
-  return parallel_map(total, [&](std::int64_t pair) {
-    const auto& w = suite[static_cast<std::size_t>(pair / n_schemes)];
-    const auto& scheme = schemes[static_cast<std::size_t>(pair % n_schemes)];
-    AccuracyRecord rec = evaluate_workload(w, scheme, protocol);
-    if (progress) progress(completed.fetch_add(1, std::memory_order_relaxed) + 1);
-    return rec;
+  // One task per workload: its plan (model, data, FP32 teacher passes) is
+  // built once and every scheme is scored against it -- exactly what
+  // evaluate_workload does on a fresh plan. Each record lands at its pair
+  // index, so the returned order matches the serial double loop no matter
+  // how tasks are scheduled.
+  parallel_run(static_cast<std::int64_t>(suite.size()), [&](std::int64_t i) {
+    const auto wi = static_cast<std::size_t>(i);
+    const Workload& w = suite[wi];
+    const EvalPlan plan = make_eval_plan(w, protocol);
+    for (std::size_t s = 0; s < n_schemes; ++s) {
+      records[wi * n_schemes + s] =
+          evaluate_with_plan(plan, default_model_config(w, schemes[s], protocol));
+      if (progress) progress(completed.fetch_add(1, std::memory_order_relaxed) + 1);
+    }
   });
+  return records;
 }
 
 const Workload& find_workload(const std::vector<Workload>& suite, const std::string& name) {

@@ -21,12 +21,16 @@ namespace fp8q {
 
 /// Evaluates every (workload, scheme) pair of the cross product --
 /// suite-level task parallelism over the global thread pool (see
-/// docs/THREADING.md). Records are returned grouped by workload, with the
-/// schemes in the given order within each group: exactly the order a
-/// serial double loop would produce, regardless of which task finished
-/// first. `progress`, if set, is invoked once per completed pair with the
-/// running completion count; it may be called from any pool thread
-/// concurrently with other tasks, so it must be thread-safe.
+/// docs/THREADING.md). One task per workload: it builds the workload's
+/// EvalPlan once and scores its schemes against that plan in order, so at
+/// most num_threads() plans are alive at once. Each record equals
+/// evaluate_workload(workload, scheme, protocol) bit for bit. Records are
+/// returned grouped by workload, with the schemes in the given order
+/// within each group: exactly the order a serial double loop would
+/// produce, regardless of which task finished first. `progress`, if set,
+/// is invoked once per completed pair with the running completion count;
+/// it may be called from any pool thread concurrently with other tasks,
+/// so it must be thread-safe.
 [[nodiscard]] std::vector<AccuracyRecord> evaluate_suite(
     const std::vector<Workload>& suite, const std::vector<SchemeConfig>& schemes,
     const EvalProtocol& protocol = {},

@@ -100,12 +100,24 @@ TEST_P(FastCast, ScaledVectorMatchesScalarReference) {
 // --- Batched kernel (fp8_quantize_batch) ----------------------------------
 //
 // Contract: out[i] is bit-identical to the scalar composition
-// fp8_quantize(in[i] * scale) * (1 / scale), NaN payloads included (the
-// batch kernel passes the scaled NaN bits through; the reference cast
-// returns the same bits because quantization keeps NaN mantissas).
+// fp8_quantize(in[i] * scale) * (1 / scale), NaN payloads included (every
+// path returns a NaN's sign and payload with the quiet bit set).
+
+float from_bits(std::uint32_t b) {
+  float x;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+std::uint32_t bits_of(float x) {
+  std::uint32_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
 
 /// Every input worth testing: the full code grid, rounding midpoints and
-/// their neighbors, both signs, and the special values.
+/// their neighbors, both signs, and the special values -- signalling NaNs
+/// included.
 std::vector<float> exhaustive_inputs(const FormatSpec& spec) {
   std::vector<float> in;
   const auto values = representable_values(spec);
@@ -132,13 +144,10 @@ std::vector<float> exhaustive_inputs(const FormatSpec& spec) {
                   std::numeric_limits<float>::min()}) {
     in.push_back(x);
   }
+  for (std::uint32_t snan : {0x7f800001u, 0xff800001u, 0x7fbfffffu}) {
+    in.push_back(from_bits(snan));
+  }
   return in;
-}
-
-std::uint32_t bits_of(float x) {
-  std::uint32_t b;
-  std::memcpy(&b, &x, sizeof b);
-  return b;
 }
 
 TEST_P(FastCast, BatchMatchesScalarReferenceExhaustively) {
@@ -159,6 +168,26 @@ TEST_P(FastCast, BatchMatchesScalarReferenceExhaustively) {
             << " got=" << out[i];
       }
     }
+  }
+}
+
+TEST_P(FastCast, NanBitsAgreeAcrossPathsUnscaled) {
+  // Unscaled on purpose: in the check above `x * scale` quietens a
+  // signalling NaN before the reference cast sees it, so only a direct
+  // call can tell the paths apart.
+  std::vector<float> nans;
+  for (float x : exhaustive_inputs(spec())) {
+    if (std::isnan(x)) nans.push_back(x);
+  }
+  ASSERT_EQ(nans.size(), 5u);  // two quiet NaNs, three signalling
+  std::vector<float> batch(nans.size());
+  fp8_quantize_batch(nans, batch, fast(), 1.0f);
+  for (size_t i = 0; i < nans.size(); ++i) {
+    const std::uint32_t in_bits = bits_of(nans[i]);
+    const std::uint32_t ref = bits_of(fp8_quantize(nans[i], spec()));
+    EXPECT_EQ(ref, in_bits | 0x00400000u) << std::hex << in_bits;
+    EXPECT_EQ(ref, bits_of(fp8_quantize_fast(nans[i], fast()))) << std::hex << in_bits;
+    EXPECT_EQ(ref, bits_of(batch[i])) << std::hex << in_bits;
   }
 }
 

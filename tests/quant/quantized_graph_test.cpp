@@ -375,22 +375,22 @@ TEST(QuantizedGraph, QuantizedComputeFraction) {
   ModelQuantConfig all;
   all.scheme = standard_fp8_scheme(DType::kE4M3);
   QuantizedGraph qa(&g, all);
-  EXPECT_DOUBLE_EQ(qa.quantized_compute_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(quantized_compute_fraction(g, qa.quantized_nodes()), 1.0);
 
   // Falling back fc1 (the larger share of parameters) drops the fraction
   // below 1 but above 0.
   ModelQuantConfig part = all;
   part.fallback_nodes = {2};
   QuantizedGraph qp(&g, part);
-  EXPECT_GT(qp.quantized_compute_fraction(), 0.0);
-  EXPECT_LT(qp.quantized_compute_fraction(), 1.0);
+  EXPECT_GT(quantized_compute_fraction(g, qp.quantized_nodes()), 0.0);
+  EXPECT_LT(quantized_compute_fraction(g, qp.quantized_nodes()), 1.0);
 
   // FP32-everything config: nothing covered.
   ModelQuantConfig none;
   none.fallback_kinds = {OpKind::kLinear, OpKind::kConv2d, OpKind::kMatMul,
                          OpKind::kBatchMatMul, OpKind::kEmbedding};
   QuantizedGraph qn(&g, none);
-  EXPECT_DOUBLE_EQ(qn.quantized_compute_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(quantized_compute_fraction(g, qn.quantized_nodes()), 0.0);
 }
 
 TEST(QuantizedGraph, PackedComputeIsBitIdenticalToDequantizedPath) {

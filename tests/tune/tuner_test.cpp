@@ -75,6 +75,27 @@ TEST(Autotune, E5M2SkipsDynamicTrial) {
   }
 }
 
+TEST(Autotune, QuantizedFractionMatchesAQuantizedClone) {
+  // The tuner reads each trial's fraction off the pristine prototype; it
+  // must equal the fraction a QuantizedGraph over a clone covers, bit for bit,
+  // through the ladder and the kind fallbacks (lm-extreme-3 fails them).
+  const auto suite = build_suite();
+  const Workload& w = find_workload(suite, "nlp/lm-extreme-3");
+  TuneOptions options;
+  options.max_node_fallbacks = 0;
+  const TuneResult r = autotune(w, DType::kE5M2, quick_protocol(), options);
+  ASSERT_GT(r.trials(), 6);  // six ladder arms, then kind fallbacks
+  const Graph prototype = w.build();
+  for (const auto& step : r.history) {
+    Graph g = prototype.clone();
+    const QuantizedGraph qg(&g, step.config);
+    EXPECT_EQ(quantized_node_set(prototype, step.config), qg.quantized_nodes())
+        << step.description;
+    EXPECT_EQ(step.quantized_fraction, quantized_compute_fraction(g, qg.quantized_nodes()))
+        << step.description;
+  }
+}
+
 TEST(NodeSensitivity, RanksAndCoversQuantizedNodes) {
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "nlp/bert-outlier-1");

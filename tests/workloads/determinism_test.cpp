@@ -5,6 +5,10 @@
 // compares 1-thread and 8-thread results directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -195,6 +199,113 @@ TEST(Determinism, CountersDoNotPerturbAccuracyRecords) {
   // ...and the counted run actually counted: an E4M3 evaluation pushes
   // every weight and activation through the instrumented casts.
   EXPECT_GT(totals.get(ObsFormat::kE4M3, ObsEvent::kQuantized), 0u);
+}
+
+// --- evaluate_suite shares one plan per workload ---------------------------
+//
+// Each (workload, scheme) record must equal a standalone
+// evaluate_workload on a fresh plan, whatever the thread count and
+// whether the suite runs on the pool or inline inside another task.
+
+std::vector<SchemeConfig> suite_schemes() {
+  return {standard_fp8_scheme(DType::kE5M2), standard_fp8_scheme(DType::kE4M3, true),
+          standard_fp8_scheme(DType::kE3M4, false), int8_scheme(true)};
+}
+
+/// evaluate_workload for every pair, in serial double-loop order.
+std::vector<AccuracyRecord> per_pair_records(const std::vector<Workload>& workloads,
+                                             const std::vector<SchemeConfig>& schemes,
+                                             const EvalProtocol& protocol) {
+  std::vector<AccuracyRecord> out;
+  for (const auto& w : workloads) {
+    for (const auto& scheme : schemes) out.push_back(evaluate_workload(w, scheme, protocol));
+  }
+  return out;
+}
+
+void expect_same_records(const std::vector<AccuracyRecord>& want,
+                         const std::vector<AccuracyRecord>& got, const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].workload, got[i].workload) << label << " pair " << i;
+    EXPECT_EQ(want[i].domain, got[i].domain) << label << " pair " << i;
+    EXPECT_EQ(want[i].config, got[i].config) << label << " pair " << i;
+    EXPECT_EQ(want[i].fp32_accuracy, got[i].fp32_accuracy) << label << " pair " << i;
+    EXPECT_EQ(want[i].quant_accuracy, got[i].quant_accuracy) << label << " pair " << i;
+    EXPECT_EQ(want[i].model_size_mb, got[i].model_size_mb) << label << " pair " << i;
+  }
+}
+
+TEST(SuitePlanSharing, RecordsMatchPerPairEvaluationAt1And4Threads) {
+  ThreadCountGuard guard;
+  const auto workloads = sample_workloads();
+  const auto schemes = suite_schemes();
+  const EvalProtocol protocol = quick_protocol();
+  const auto want = per_pair_records(workloads, schemes, protocol);
+  for (int threads : {1, 4}) {
+    set_num_threads(threads);
+    expect_same_records(want, evaluate_suite(workloads, schemes, protocol),
+                        "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(SuitePlanSharing, RecordsMatchWhenCalledFromInsideAParallelTask) {
+  ThreadCountGuard guard;
+  set_num_threads(4);
+  const auto workloads = sample_workloads();
+  const auto schemes = suite_schemes();
+  const EvalProtocol protocol = quick_protocol();
+  const auto want = per_pair_records(workloads, schemes, protocol);
+  // Inside a task the suite takes the nested inline path.
+  const auto nested = parallel_map(2, [&](std::int64_t) {
+    EXPECT_TRUE(in_parallel_region());
+    return evaluate_suite(workloads, schemes, protocol);
+  });
+  for (size_t t = 0; t < nested.size(); ++t) {
+    expect_same_records(want, nested[t], "task " + std::to_string(t));
+  }
+}
+
+TEST(SuitePlanSharing, ProgressOncePerPairAndOnePlanPerWorkload) {
+  ThreadCountGuard guard;
+  set_num_threads(4);
+  auto workloads = sample_workloads();
+  const auto schemes = suite_schemes();
+  // Every plan build calls the workload's builder exactly once.
+  std::atomic<int> builds{0};
+  for (auto& w : workloads) {
+    w.build = [inner = w.build, &builds] {
+      builds.fetch_add(1, std::memory_order_relaxed);
+      return inner();
+    };
+  }
+  std::mutex mu;
+  std::vector<int> seen;
+  const auto records = evaluate_suite(workloads, schemes, quick_protocol(), [&](int done) {
+    std::lock_guard<std::mutex> lock(mu);
+    seen.push_back(done);
+  });
+  const size_t pairs = workloads.size() * schemes.size();
+  ASSERT_EQ(records.size(), pairs);
+  EXPECT_EQ(builds.load(), static_cast<int>(workloads.size()));
+  // Exactly one call per pair, carrying each running count once.
+  ASSERT_EQ(seen.size(), pairs);
+  std::sort(seen.begin(), seen.end());
+  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], static_cast<int>(i) + 1);
+}
+
+TEST(SuitePlanSharing, BuildFailureRethrowsAndPoolSurvives) {
+  ThreadCountGuard guard;
+  set_num_threads(4);
+  auto workloads = sample_workloads();
+  workloads[1].build = []() -> Graph { throw std::runtime_error("build failed"); };
+  EXPECT_THROW((void)evaluate_suite(workloads, suite_schemes(), quick_protocol()),
+               std::runtime_error);
+  // The next parallel region still runs every index.
+  const auto squares = parallel_map(64, [](std::int64_t i) { return i * i; });
+  for (std::int64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(squares[static_cast<std::size_t>(i)], i * i);
+  }
 }
 
 TEST(Determinism, NoUnorderedIterationInLibrarySources) {

@@ -142,10 +142,12 @@ int cmd_sweep(const char* out_path, bool quick) {
   std::vector<AccuracyRecord> records;
   int done = 0;
   for (const auto& w : suite) {
+    // One plan per workload, shared by its six configurations.
+    const EvalPlan plan = make_eval_plan(w);
     for (const auto& scheme : table2_fp8_schemes()) {
-      records.push_back(evaluate_workload(w, scheme));
+      records.push_back(evaluate_with_plan(plan, default_model_config(w, scheme)));
     }
-    auto rec = evaluate_workload(w, int8_scheme(w.domain != "CV"));
+    auto rec = evaluate_with_plan(plan, default_model_config(w, int8_scheme(w.domain != "CV")));
     rec.config = "INT8";
     records.push_back(rec);
     std::fprintf(stderr, "\r%d/%zu", ++done, suite.size());
