@@ -6,6 +6,8 @@
 //   * packed FP8 GEMM (decode-in-register, docs/KERNELS.md) vs the
 //     dequantize-then-matmul baseline, per FP8 format, at the dispatched
 //     ISA tier (recorded in the row and the top-level "isa" field);
+//   * FP32 Conv2d on the model zoo's conv shapes, scalar tier vs native
+//     tier, in GFLOP/s;
 //   * accuracy-tuner wall time with the quantized-weight cache off vs on
 //     (embedding-heavy workload, where weight quantization dominates).
 //
@@ -22,6 +24,7 @@
 #include "core/parallel.h"
 #include "fp8/cast_fast.h"
 #include "fp8/packed.h"
+#include "nn/conv.h"
 #include "nn/matmul.h"
 #include "nn/packed_gemm.h"
 #include "obs/trace.h"
@@ -176,6 +179,68 @@ PackedGemmResult measure_packed_gemm(Fp8Kind kind, std::int64_t m, std::int64_t 
           static_cast<std::int64_t>(b.numel() * sizeof(float))};
 }
 
+struct ConvShape {
+  const char* name;
+  std::int64_t ic, oc, hw, k, pad, groups;
+};
+
+/// The stride-1 conv shapes of the model zoo (models/zoo.cpp): CNN stem,
+/// residual 3x3 at two widths, depthwise + pointwise pair, U-Net encoder.
+constexpr ConvShape kZooConvShapes[] = {
+    {"stem", 3, 12, 10, 3, 1, 1},
+    {"conv3x3-c12", 12, 12, 10, 3, 1, 1},
+    {"conv3x3-c24", 24, 24, 10, 3, 1, 1},
+    {"depthwise-c12", 12, 12, 10, 3, 1, 12},
+    {"pointwise-c12", 12, 12, 10, 1, 0, 1},
+    {"unet-enc2-c8", 8, 16, 6, 3, 1, 1},
+};
+
+struct ConvResult {
+  ConvShape shape;
+  std::int64_t batch;
+  double scalar_gflops;
+  double native_gflops;
+  double speedup;
+  const char* native_tier;
+};
+
+double conv_gflops(Conv2dOp& op, const Tensor& x, double flops, int iters, int reps) {
+  double best = 0.0;
+  volatile float sink = 0.0f;
+  for (int r = 0; r < reps; ++r) {
+    const std::uint64_t t0 = obs_now_ns();
+    for (int it = 0; it < iters; ++it) {
+      const Tensor y = op.forward({&x, 1});
+      sink = y[0];
+    }
+    const double rate = flops * iters / seconds_since(t0) / 1e9;
+    if (rate > best) best = rate;
+  }
+  (void)sink;
+  return best;
+}
+
+/// FP32 Conv2dOp at the scalar tier (the clamped tap loop) and at the
+/// native tier. Both produce bit-identical outputs (docs/KERNELS.md), so
+/// the ratio is pure throughput. FLOPs count every tap of the window,
+/// including the ones the padding skips.
+ConvResult measure_conv(const ConvShape& s, std::int64_t batch, int iters, int reps) {
+  Rng rng(31);
+  const Tensor x = randn(rng, {batch, s.ic, s.hw, s.hw});
+  Conv2dOp op(randn(rng, {s.oc, s.ic / s.groups, s.k, s.k}), randn(rng, {s.oc}), 1,
+              static_cast<int>(s.pad), static_cast<int>(s.groups));
+  const std::int64_t out_hw = s.hw + 2 * s.pad - s.k + 1;
+  const double flops = 2.0 * static_cast<double>(batch * s.oc * out_hw * out_hw) *
+                       static_cast<double>(s.ic / s.groups * s.k * s.k);
+  set_isa_tier(IsaTier::kScalar);
+  const double scalar = conv_gflops(op, x, flops, iters, reps);
+  set_isa_tier(IsaTier::kNative);
+  const char* native_tier = isa_label();
+  const double native = conv_gflops(op, x, flops, iters, reps);
+  reset_isa_tier();
+  return {s, batch, scalar, native, scalar > 0.0 ? native / scalar : 0.0, native_tier};
+}
+
 struct TunerResult {
   std::string workload;
   int trials_off = 0;
@@ -277,6 +342,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<ConvResult> convs;
+  {
+    ScopedStage stage("kernels/conv");
+    for (const ConvShape& shape : kZooConvShapes) {
+      convs.push_back(measure_conv(shape, 128, smoke ? 1 : 4, reps));
+    }
+  }
+
   std::vector<TunerResult> tuners;
   if (!smoke) {
     ScopedStage stage("kernels/tuner-cache");
@@ -335,6 +408,21 @@ int main(int argc, char** argv) {
                  static_cast<long long>(p.fp32_bytes),
                  i + 1 < packed_gemms.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"conv\": [\n");
+  for (std::size_t i = 0; i < convs.size(); ++i) {
+    const auto& c = convs[i];
+    std::fprintf(f,
+                 "    {\"shape\": \"%s\", \"n\": %lld, \"ic\": %lld, \"oc\": %lld, "
+                 "\"hw\": %lld, \"k\": %lld, \"pad\": %lld, \"groups\": %lld, "
+                 "\"native_tier\": \"%s\", \"scalar_gflops\": %.2f, "
+                 "\"native_gflops\": %.2f, \"speedup\": %.2f}%s\n",
+                 c.shape.name, static_cast<long long>(c.batch),
+                 static_cast<long long>(c.shape.ic), static_cast<long long>(c.shape.oc),
+                 static_cast<long long>(c.shape.hw), static_cast<long long>(c.shape.k),
+                 static_cast<long long>(c.shape.pad), static_cast<long long>(c.shape.groups),
+                 c.native_tier, c.scalar_gflops, c.native_gflops, c.speedup,
+                 i + 1 < convs.size() ? "," : "");
+  }
   std::fprintf(f, "  ],\n  \"tuner\": [\n");
   for (std::size_t i = 0; i < tuners.size(); ++i) {
     const auto& t = tuners[i];
@@ -367,6 +455,12 @@ int main(int argc, char** argv) {
                 static_cast<long long>(p.m), static_cast<long long>(p.k),
                 static_cast<long long>(p.n), p.format, isa_label(), p.packed_gflops,
                 p.dequant_gflops, p.speedup);
+  }
+  for (const auto& c : convs) {
+    std::printf("  conv %-14s n=%lld [%s]: native %.2f GFLOP/s  scalar %.2f GFLOP/s  "
+                "(%.2fx)\n",
+                c.shape.name, static_cast<long long>(c.batch), c.native_tier,
+                c.native_gflops, c.scalar_gflops, c.speedup);
   }
   for (const auto& t : tuners) {
     std::printf("  tuner %-16s off %.0f ms  on %.0f ms  (-%.1f%%, %llu hits)\n",

@@ -66,25 +66,36 @@ Tensor Conv2dOp::forward(std::span<const Tensor> inputs) {
   if (oh < 1 || ow < 1) throw std::invalid_argument("Conv2dOp: output would be empty");
 
   Tensor y({n, oc, oh, ow});
-  const float* xd = x.data();
-  const float* wd = weight_.data();
-  const float* bd = bias_.empty() ? nullptr : bias_.data();
-  float* yd = y.data();
+  const Conv2dGeometry geo{n, ic, h, w, oc, kh, kw, oh, ow, stride_, padding_, groups_};
 
-  // Packed path: same loops, but each plane's weights come from decoding
-  // that output channel's codes into a scratch row (decode once per
-  // channel per chunk, amortized over the oh*ow positions). The decoded
-  // row is bitwise the fake-quantized weight row, and the tap accumulation
-  // order below is untouched, so both paths produce identical bits.
+  // Packed path: decode the whole weight once per forward into FP32 and
+  // run the same conv2d entry as the FP32 path. The decoded weight is
+  // bitwise the fake-quantized weight, so both paths produce identical
+  // bits.
   const PackedConvWeight* pw = packed_.get();
   kernel_counter_add(pw ? ObsKernelPath::kConvPacked : ObsKernelPath::kConvFp32, 1);
   TraceSpan span(pw ? "conv_packed" : "conv_fp32");
   const bool hists = pw && histograms_enabled();
   const std::uint64_t start_ns = hists ? obs_now_ns() : 0;
 
-  const std::int64_t oc_per_group = oc / groups_;
+  const PackedKernelTable& kt = packed_kernels(isa_tier());
+  const float* wd = weight_.data();
+  std::vector<float> wdec;
+  if (pw != nullptr) {
+    wdec.resize(static_cast<std::size_t>(oc * pw->block));
+    for (std::int64_t o = 0; o < oc; ++o) {
+      kt.decode_mul(pw->codes.data() + o * pw->block,
+                    pw->inv_scales[static_cast<std::size_t>(o)], wdec.data() + o * pw->block,
+                    pw->block, pw->kind);
+    }
+    wd = wdec.data();
+  }
+  const float* xd = x.data();
+  const float* bd = bias_.empty() ? nullptr : bias_.data();
+  float* yd = y.data();
+
   // Parallel over the n*oc output planes: each plane writes a disjoint
-  // oh*ow block of y with a plane-local accumulator, so results match the
+  // oh*ow block of y with plane-local accumulators, so results match the
   // serial loop bit-for-bit. Grain targets ~kParallelGrainFlops
   // multiply-adds per chunk; the chained capped_cost keeps the five-factor
   // product from overflowing for huge shapes.
@@ -96,64 +107,8 @@ Tensor Conv2dOp::forward(std::span<const Tensor> inputs) {
                   kw, kParallelGrainFlops));
   const std::int64_t grain =
       std::max<std::int64_t>(std::int64_t{1}, kParallelGrainFlops / flops_per_plane);
-  const PackedKernelTable* kt = pw ? &packed_kernels(isa_tier()) : nullptr;
   parallel_for(0, n * oc, grain, [&](std::int64_t plane_lo, std::int64_t plane_hi) {
-    // Decode (batch, out-channel) once per chunk and step incrementally;
-    // the division leaves the plane loop entirely.
-    std::int64_t b = plane_lo / oc;
-    std::int64_t o = plane_lo - b * oc;
-    std::vector<float> wdec;
-    std::int64_t decoded_o = -1;
-    for (std::int64_t plane = plane_lo; plane < plane_hi; ++plane) {
-      const std::int64_t g = o / oc_per_group;
-      const float bias_v = bd ? bd[o] : 0.0f;
-      const float* wbase;
-      if (pw != nullptr) {
-        if (o != decoded_o) {
-          wdec.resize(static_cast<std::size_t>(pw->block));
-          kt->decode_mul(pw->codes.data() + o * pw->block,
-                         pw->inv_scales[static_cast<std::size_t>(o)], wdec.data(),
-                         pw->block, pw->kind);
-          decoded_o = o;
-        }
-        wbase = wdec.data();
-      } else {
-        wbase = wd + o * icg * kh * kw;
-      }
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        const std::int64_t iy0 = oy * stride_ - padding_;
-        // Clamp the kernel window to the input once per output row /
-        // column instead of bounds-testing every tap. Out-of-range taps
-        // never contributed to the sum, so skipping them wholesale leaves
-        // the in-range accumulation order -- and thus the result bits --
-        // unchanged.
-        const std::int64_t ky_lo = std::max<std::int64_t>(std::int64_t{0}, -iy0);
-        const std::int64_t ky_hi = std::min<std::int64_t>(kh, h - iy0);
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          float acc = bias_v;
-          const std::int64_t ix0 = ox * stride_ - padding_;
-          const std::int64_t kx_lo = std::max<std::int64_t>(std::int64_t{0}, -ix0);
-          const std::int64_t kx_hi = std::min<std::int64_t>(kw, w - ix0);
-          for (std::int64_t c = 0; c < icg; ++c) {
-            const std::int64_t in_c = g * icg + c;
-            const float* xplane = xd + ((b * ic + in_c) * h) * w;
-            const float* wplane = wbase + (c * kh) * kw;
-            for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
-              const float* xrow = xplane + (iy0 + ky) * w + ix0;
-              const float* wrow = wplane + ky * kw;
-              for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
-                acc += xrow[kx] * wrow[kx];
-              }
-            }
-          }
-          yd[((b * oc + o) * oh + oy) * ow + ox] = acc;
-        }
-      }
-      if (++o == oc) {
-        o = 0;
-        ++b;
-      }
-    }
+    kt.conv2d(geo, xd, wd, bd, yd, plane_lo, plane_hi);
   });
   if (hists) {
     hist_record_named("kernel:conv_packed", static_cast<double>(obs_now_ns() - start_ns));

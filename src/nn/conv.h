@@ -1,11 +1,10 @@
 // 2D convolution (NCHW, optionally grouped/depthwise).
 //
 // Like LinearOp, the op has an FP32 path over weight_ and a packed path
-// (docs/KERNELS.md): with a PackedConvWeight attached, each (image,
-// output-channel) plane decodes its channel's taps once into a scratch
-// row via the dispatched decode kernel, then runs the same clamped tap
-// loops -- bit-identical to the FP32 path on the fake-quantized weight,
-// while streaming 1 byte per tap instead of 4 from memory.
+// (docs/KERNELS.md): with a PackedConvWeight attached, forward decodes the
+// whole weight once via the dispatched decode kernel. Both paths then run
+// the dispatched conv2d kernel, so the packed path is bit-identical to the
+// FP32 path on the fake-quantized weight.
 #pragma once
 
 #include <memory>
@@ -36,8 +35,8 @@ class Conv2dOp final : public Op {
 
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<Conv2dOp>(*this); }
 
-  /// Attaches packed 8-bit weight codes; subsequent forwards decode per
-  /// output channel instead of reading weight_. Shared and immutable
+  /// Attaches packed 8-bit weight codes; subsequent forwards decode them
+  /// instead of reading weight_. Shared and immutable
   /// (clones share it). Throws if its dims don't match the op's weight.
   void set_packed_weight(std::shared_ptr<const PackedConvWeight> packed);
   /// Detaches the packed weight; forward returns to the FP32 path.

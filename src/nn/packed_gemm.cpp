@@ -149,10 +149,75 @@ void gemm_batched_tier(const float* x, const PackedWeightMatrix& w, const float*
   }
 }
 
-constexpr PackedKernelTable kScalarTable{decode_mul_scalar_tier, gemm_scalar_tier};
-constexpr PackedKernelTable kBatchedTable{decode_mul_batched_tier, gemm_batched_tier};
+constexpr PackedKernelTable kScalarTable{decode_mul_scalar_tier, gemm_scalar_tier,
+                                         detail::conv2d_clamped};
+constexpr PackedKernelTable kBatchedTable{decode_mul_batched_tier, gemm_batched_tier,
+                                          detail::conv2d_clamped};
 
 }  // namespace
+
+namespace detail {
+
+void conv2d_clamped(const Conv2dGeometry& geo, const float* xd, const float* wd,
+                    const float* bd, float* yd, std::int64_t plane_lo,
+                    std::int64_t plane_hi) {
+  const std::int64_t ic = geo.ic;
+  const std::int64_t h = geo.h;
+  const std::int64_t w = geo.w;
+  const std::int64_t oc = geo.oc;
+  const std::int64_t icg = ic / geo.groups;
+  const std::int64_t kh = geo.kh;
+  const std::int64_t kw = geo.kw;
+  const std::int64_t oh = geo.oh;
+  const std::int64_t ow = geo.ow;
+  const std::int64_t stride = geo.stride;
+  const std::int64_t padding = geo.padding;
+  const std::int64_t oc_per_group = oc / geo.groups;
+  // Decode (batch, out-channel) once per chunk and step incrementally;
+  // the division leaves the plane loop entirely.
+  std::int64_t b = plane_lo / oc;
+  std::int64_t o = plane_lo - b * oc;
+  for (std::int64_t plane = plane_lo; plane < plane_hi; ++plane) {
+    const std::int64_t g = o / oc_per_group;
+    const float bias_v = bd ? bd[o] : 0.0f;
+    const float* wbase = wd + o * icg * kh * kw;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      const std::int64_t iy0 = oy * stride - padding;
+      // Clamp the kernel window to the input once per output row /
+      // column instead of bounds-testing every tap. Out-of-range taps
+      // never contributed to the sum, so skipping them wholesale leaves
+      // the in-range accumulation order -- and thus the result bits --
+      // unchanged.
+      const std::int64_t ky_lo = std::max<std::int64_t>(std::int64_t{0}, -iy0);
+      const std::int64_t ky_hi = std::min<std::int64_t>(kh, h - iy0);
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        float acc = bias_v;
+        const std::int64_t ix0 = ox * stride - padding;
+        const std::int64_t kx_lo = std::max<std::int64_t>(std::int64_t{0}, -ix0);
+        const std::int64_t kx_hi = std::min<std::int64_t>(kw, w - ix0);
+        for (std::int64_t c = 0; c < icg; ++c) {
+          const std::int64_t in_c = g * icg + c;
+          const float* xplane = xd + ((b * ic + in_c) * h) * w;
+          const float* wplane = wbase + (c * kh) * kw;
+          for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+            const float* xrow = xplane + (iy0 + ky) * w + ix0;
+            const float* wrow = wplane + ky * kw;
+            for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
+              acc += xrow[kx] * wrow[kx];
+            }
+          }
+        }
+        yd[((b * oc + o) * oh + oy) * ow + ox] = acc;
+      }
+    }
+    if (++o == oc) {
+      o = 0;
+      ++b;
+    }
+  }
+}
+
+}  // namespace detail
 
 const PackedKernelTable& packed_kernels(IsaTier tier) {
   switch (tier) {

@@ -15,8 +15,8 @@
 //     activation. inv_scales[j] = 1 / scale_j is precomputed once.
 //   PackedConvWeight    Conv2d operand; codes stay in the op's native
 //     [oc][ic/g * kh * kw] order with inv_scales per output channel. The
-//     conv forward decodes one output channel's taps per (image, plane)
-//     into a scratch row, then runs the legacy tap loops over it.
+//     conv forward decodes the whole weight once with decode_mul, then
+//     runs the same conv2d entry as the FP32 path over it.
 //
 // Microkernel contract (every tier, every thread count):
 //
@@ -36,7 +36,10 @@
 // callers index it with isa_tier() (core/cpu_dispatch.h). The kNative
 // table is compiled in arch-specific TUs (packed_gemm_avx2.cpp,
 // packed_gemm_neon.cpp) and falls back to kBatched when the CPU or the
-// build lacks a native path.
+// build lacks a native path. The table's conv2d entry runs on an FP32
+// weight and serves both Conv2d paths: the packed path decodes its codes
+// with decode_mul first. It keeps the clamped tap loop's bits at every
+// tier (docs/KERNELS.md).
 #pragma once
 
 #include <cstdint>
@@ -86,6 +89,15 @@ struct PackedConvWeight {
 /// weight (scales on axis 0).
 [[nodiscard]] PackedConvWeight pack_conv_weight(const PackedFp8Tensor& packed);
 
+/// Shape of one Conv2d forward: input [n, ic, h, w], weight
+/// [oc, ic/groups, kh, kw], output [n, oc, oh, ow].
+struct Conv2dGeometry {
+  std::int64_t n = 0, ic = 0, h = 0, w = 0;
+  std::int64_t oc = 0, kh = 0, kw = 0;
+  std::int64_t oh = 0, ow = 0;
+  std::int64_t stride = 1, padding = 0, groups = 1;
+};
+
 /// Per-tier kernel entry points (one table per IsaTier; see file comment
 /// for the bit-exactness contract they all satisfy).
 struct PackedKernelTable {
@@ -100,6 +112,15 @@ struct PackedKernelTable {
   /// packed_gemm_forward parallelizes across row chunks.
   void (*gemm)(const float* x, const PackedWeightMatrix& w, const float* bias, float* y,
                std::int64_t rows);
+
+  /// Conv2d over output planes [plane_lo, plane_hi) of the n * oc planes
+  /// (plane = image * oc + out_channel). w is the FP32 (or decoded) weight
+  /// in [oc][ic/g][kh][kw] order; bias is [oc] or nullptr. Each output
+  /// element is bias (+) the in-range taps x * w in c -> ky -> kx order,
+  /// skipping the taps that fall outside the input. Single-threaded over
+  /// its slice; Conv2dOp::forward parallelizes across plane chunks.
+  void (*conv2d)(const Conv2dGeometry& g, const float* x, const float* w, const float* bias,
+                 float* y, std::int64_t plane_lo, std::int64_t plane_hi);
 };
 
 /// Function table for one tier. kNative falls back to the batched table
@@ -119,6 +140,13 @@ void packed_gemm_forward(const float* x, const PackedWeightMatrix& w, const floa
 namespace detail {
 /// Defined by the arch TU compiled into this build (AVX2 or NEON).
 [[nodiscard]] const PackedKernelTable& packed_kernels_native_impl();
+
+/// The portable conv2d entry (scalar and batched tiers, and every shape a
+/// native kernel does not cover): per output element, the kernel window
+/// is clamped to the input once and the in-range taps are summed.
+void conv2d_clamped(const Conv2dGeometry& g, const float* x, const float* w,
+                    const float* bias, float* y, std::int64_t plane_lo,
+                    std::int64_t plane_hi);
 }  // namespace detail
 
 }  // namespace fp8q

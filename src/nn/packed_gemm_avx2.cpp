@@ -1,4 +1,4 @@
-// kNative tier for x86-64: AVX2 packed-FP8 decode + GEMM.
+// kNative tier for x86-64: AVX2 packed-FP8 decode + GEMM, stride-1 Conv2d.
 //
 // Compiled with -mavx2 (and NOT -mfma) for this TU only; entered only
 // after the runtime probe confirms AVX2 (core/cpu_dispatch.h). Every
@@ -12,6 +12,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <vector>
 
 namespace fp8q {
 namespace {
@@ -170,7 +171,145 @@ void gemm_avx2(const float* x, const PackedWeightMatrix& w, const float* bias, f
   }
 }
 
-constexpr PackedKernelTable kAvx2Table{decode_mul_avx2, gemm_avx2};
+// ---------------------------------------------------------------------------
+// Stride-1 Conv2d across output positions. The image is copied once into a
+// zero-bordered grid of width pw = w + 2 * pad, and the output plane is laid
+// out flat on that grid: output (oy, ox) sits at p = oy * pw + ox, and its
+// tap (c, ky, kx) reads grid[c][p + ky * pw + kx]. Each tap is then one
+// contiguous load across kConvLanes output positions. Lanes with ox >= ow
+// (the grid's extra columns) are computed and discarded.
+//
+// A tap that falls outside the input reads the zero border. The clamped
+// loop (detail::conv2d_clamped) skips such a tap instead of adding x * w,
+// and adding the zero product would change bits (-0 + +0 = +0 for a -0.0f
+// bias, 0 * Inf = NaN for a non-finite weight). So the product of an
+// out-of-range tap is replaced by -0.0f with a per-lane blend before the
+// add; acc + -0.0f is acc exactly for every non-signaling acc. Each element
+// therefore still sees bias, then the in-range taps in c -> ky -> kx order,
+// each as an explicit mul then add: the clamped loop's bits.
+// ---------------------------------------------------------------------------
+
+/// Output positions per block: kConvVecs independent 8-wide accumulators,
+/// enough add chains in flight to hide the add latency.
+constexpr std::int64_t kConvVecs = 4;
+constexpr std::int64_t kConvLanes = 8 * kConvVecs;
+
+/// One block of kConvLanes positions for one output channel. x points at
+/// the block's first position in the group's first padded channel; masks
+/// holds kh * kw rows of kConvLanes lane masks (-1 = in range, 0 = skip).
+template <bool kMasked>
+inline void conv_block_avx2(const float* x, std::int64_t grid, std::int64_t pw,
+                            const float* w, std::int64_t icg, std::int64_t kh,
+                            std::int64_t kw, const std::int32_t* masks, float bias,
+                            float* out) {
+  const __m256 neg_zero = _mm256_set1_ps(-0.0f);
+  __m256 acc[kConvVecs];
+  for (std::int64_t v = 0; v < kConvVecs; ++v) acc[v] = _mm256_set1_ps(bias);
+  for (std::int64_t c = 0; c < icg; ++c, x += grid) {
+    const std::int32_t* m = masks;
+    for (std::int64_t ky = 0; ky < kh; ++ky) {
+      const float* xrow = x + ky * pw;
+      for (std::int64_t kx = 0; kx < kw; ++kx, ++w) {
+        const __m256 wv = _mm256_broadcast_ss(w);
+        for (std::int64_t v = 0; v < kConvVecs; ++v) {
+          __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(xrow + kx + 8 * v), wv);
+          if constexpr (kMasked) {
+            const __m256 keep = _mm256_castsi256_ps(
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + 8 * v)));
+            prod = _mm256_blendv_ps(neg_zero, prod, keep);
+          }
+          acc[v] = _mm256_add_ps(acc[v], prod);
+        }
+        if constexpr (kMasked) m += kConvLanes;
+      }
+    }
+  }
+  for (std::int64_t v = 0; v < kConvVecs; ++v) _mm256_storeu_ps(out + 8 * v, acc[v]);
+}
+
+void conv2d_avx2(const Conv2dGeometry& geo, const float* x, const float* w, const float* bias,
+                 float* y, std::int64_t plane_lo, std::int64_t plane_hi) {
+  if (geo.stride != 1) {
+    detail::conv2d_clamped(geo, x, w, bias, y, plane_lo, plane_hi);
+    return;
+  }
+  const std::int64_t pad = geo.padding;
+  const std::int64_t pw = geo.w + 2 * pad;
+  const std::int64_t grid = (geo.h + 2 * pad) * pw;
+  const std::int64_t span = (geo.oh - 1) * pw + geo.ow;
+  const std::int64_t blocks = (span + kConvLanes - 1) / kConvLanes;
+  const std::int64_t taps = geo.kh * geo.kw;
+
+  // Lane masks from the geometry alone, shared by every plane of the
+  // chunk. Discarded lanes count as in range so that a block whose kept
+  // lanes never leave the input takes the unmasked loop.
+  std::vector<std::int32_t> masks(static_cast<std::size_t>(blocks * taps * kConvLanes));
+  std::vector<char> masked(static_cast<std::size_t>(blocks), 0);
+  for (std::int64_t blk = 0; blk < blocks; ++blk) {
+    for (std::int64_t t = 0; t < taps; ++t) {
+      const std::int64_t ky = t / geo.kw;
+      const std::int64_t kx = t - ky * geo.kw;
+      std::int32_t* lanes = masks.data() + (blk * taps + t) * kConvLanes;
+      for (std::int64_t l = 0; l < kConvLanes; ++l) {
+        const std::int64_t p = blk * kConvLanes + l;
+        const std::int64_t oy = p / pw;
+        const std::int64_t ox = p - oy * pw;
+        const std::int64_t iy = oy + ky - pad;
+        const std::int64_t ix = ox + kx - pad;
+        const bool kept = p < span && ox < geo.ow;
+        const bool in = iy >= 0 && iy < geo.h && ix >= 0 && ix < geo.w;
+        lanes[l] = !kept || in ? -1 : 0;
+        if (lanes[l] == 0) masked[static_cast<std::size_t>(blk)] = 1;
+      }
+    }
+  }
+
+  // One padded image at a time; the zero border is written once. The tail
+  // slack keeps the last block's discarded lanes inside the buffer.
+  std::vector<float> xpad(
+      static_cast<std::size_t>(geo.ic * grid + blocks * kConvLanes - span), 0.0f);
+  std::vector<float> ybuf(static_cast<std::size_t>(blocks * kConvLanes));
+  const std::int64_t icg = geo.ic / geo.groups;
+  const std::int64_t oc_per_group = geo.oc / geo.groups;
+  std::int64_t b = plane_lo / geo.oc;
+  std::int64_t o = plane_lo - b * geo.oc;
+  std::int64_t padded_b = -1;
+  for (std::int64_t plane = plane_lo; plane < plane_hi; ++plane) {
+    if (b != padded_b) {
+      for (std::int64_t c = 0; c < geo.ic; ++c) {
+        const float* src = x + ((b * geo.ic + c) * geo.h) * geo.w;
+        float* dst = xpad.data() + c * grid + pad * pw + pad;
+        for (std::int64_t iy = 0; iy < geo.h; ++iy) {
+          std::copy_n(src + iy * geo.w, geo.w, dst + iy * pw);
+        }
+      }
+      padded_b = b;
+    }
+    const float* xg = xpad.data() + (o / oc_per_group) * icg * grid;
+    const float* wo = w + o * icg * taps;
+    const float bias_v = bias ? bias[o] : 0.0f;
+    for (std::int64_t blk = 0; blk < blocks; ++blk) {
+      const float* xb = xg + blk * kConvLanes;
+      const std::int32_t* mb = masks.data() + blk * taps * kConvLanes;
+      float* out = ybuf.data() + blk * kConvLanes;
+      if (masked[static_cast<std::size_t>(blk)]) {
+        conv_block_avx2<true>(xb, grid, pw, wo, icg, geo.kh, geo.kw, mb, bias_v, out);
+      } else {
+        conv_block_avx2<false>(xb, grid, pw, wo, icg, geo.kh, geo.kw, mb, bias_v, out);
+      }
+    }
+    float* yp = y + (b * geo.oc + o) * geo.oh * geo.ow;
+    for (std::int64_t oy = 0; oy < geo.oh; ++oy) {
+      std::copy_n(ybuf.data() + oy * pw, geo.ow, yp + oy * geo.ow);
+    }
+    if (++o == geo.oc) {
+      o = 0;
+      ++b;
+    }
+  }
+}
+
+constexpr PackedKernelTable kAvx2Table{decode_mul_avx2, gemm_avx2, conv2d_avx2};
 
 }  // namespace
 

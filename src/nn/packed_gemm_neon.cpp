@@ -201,7 +201,8 @@ void gemm_neon(const float* x, const PackedWeightMatrix& w, const float* bias, f
   }
 }
 
-constexpr PackedKernelTable kNeonTable{decode_mul_neon, gemm_neon};
+// No NEON conv kernel yet: Conv2d runs the portable clamped tap loop.
+constexpr PackedKernelTable kNeonTable{decode_mul_neon, gemm_neon, detail::conv2d_clamped};
 
 }  // namespace
 

@@ -302,6 +302,7 @@ void Server::executor_loop(int slot) {
         job->error = std::move(error);
         ++failed_;
       }
+      retire_locked(*job);
       job_wall_ns_.record(static_cast<double>(job->finish_ns - job->start_ns));
       queue_wait_ns_.record(static_cast<double>(job->start_ns - job->submit_ns));
       mine.busy_ns += job->finish_ns - job->start_ns;
@@ -332,7 +333,16 @@ bool Server::expire_if_overdue_locked(Job& job, bool already_popped) {
   job.error = "deadline of " + std::to_string(job.spec.deadline_ms) +
               " ms elapsed while queued";
   ++expired_;
+  retire_locked(job);
   return true;
+}
+
+void Server::retire_locked(const Job& job) {
+  finished_.push_back(job.id);
+  while (finished_.size() > kRetainedFinishedJobs) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+  }
 }
 
 void Server::begin_drain(bool cancel_queued) {
@@ -344,6 +354,7 @@ void Server::begin_drain(bool cancel_queued) {
         job->finish_ns = obs_now_ns();
         job->error = "cancelled by non-draining shutdown";
         ++cancelled_;
+        retire_locked(*job);
       }
     }
     drain_mode_ = true;
@@ -543,6 +554,7 @@ std::optional<std::string> Server::handle_frame(const std::string& payload,
         job->error = "cancelled by request";
         ++cancelled_;
         cancelled = true;
+        retire_locked(*job);
       }
       std::string out = "{\"ok\":true,\"job_id\":";
       out += std::to_string(req.job_id);
@@ -582,7 +594,10 @@ void Server::flush_waiters(std::vector<Client>& clients) {
       std::vector<std::uint64_t> still_waiting;
       for (const std::uint64_t id : client.waiting) {
         const auto it = jobs_.find(id);
-        if (it != jobs_.end() && is_terminal(it->second->state)) {
+        if (it == jobs_.end()) {
+          // Finished and already forgotten before this waiter was flushed.
+          responses.push_back(error_response("unknown_job", "no job " + std::to_string(id)));
+        } else if (is_terminal(it->second->state)) {
           responses.push_back(result_response_locked(*it->second));
         } else {
           still_waiting.push_back(id);

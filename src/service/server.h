@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -111,6 +112,12 @@ struct ServiceStats {
 
 class Server {
  public:
+  /// Finished jobs kept for status/result lookups. Older ones are
+  /// forgotten (their ids answer unknown_job), so a resident daemon's
+  /// memory stays bounded however many jobs it serves; a finished job's
+  /// report is ~2 KB.
+  static constexpr std::size_t kRetainedFinishedJobs = 1024;
+
   /// Binds the listeners and builds the workload suite; throws
   /// std::runtime_error when a socket cannot be bound.
   explicit Server(ServerOptions options);
@@ -150,6 +157,9 @@ class Server {
   /// claimed job runs. Returns true when the job was expired. Caller
   /// holds mutex_.
   bool expire_if_overdue_locked(Job& job, bool already_popped = false);
+  /// Records that `job` reached a terminal state and forgets the oldest
+  /// finished jobs beyond kRetainedFinishedJobs. Caller holds mutex_.
+  void retire_locked(const Job& job);
   /// Handles one request frame; nullopt when the response is deferred
   /// (result with wait=true on a non-terminal job).
   [[nodiscard]] std::optional<std::string> handle_frame(const std::string& payload,
@@ -191,6 +201,7 @@ class Server {
   std::condition_variable executor_cv_;
   JobQueue queue_ FP8Q_GUARDED_BY(mutex_);
   std::unordered_map<std::uint64_t, std::shared_ptr<Job>> jobs_ FP8Q_GUARDED_BY(mutex_);
+  std::deque<std::uint64_t> finished_ FP8Q_GUARDED_BY(mutex_);  ///< oldest first
   std::uint64_t next_job_id_ FP8Q_GUARDED_BY(mutex_) = 1;
   std::size_t active_jobs_ FP8Q_GUARDED_BY(mutex_) = 0;
   bool drain_mode_ FP8Q_GUARDED_BY(mutex_) = false;

@@ -1,13 +1,20 @@
 // The cache-blocked matmul/linear/conv kernels must be bit-identical to a
-// naive triple-loop reference: blocking, packing and tap-window clamping
-// only reorder memory accesses, never any element's summation order.
+// naive triple-loop reference: blocking, packing, tap-window clamping and
+// the native tier's padded-grid conv only reorder memory accesses, never
+// any element's summation order.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "core/cpu_dispatch.h"
+#include "core/parallel.h"
 #include "nn/conv.h"
 #include "nn/linear.h"
 #include "nn/matmul.h"
@@ -47,11 +54,83 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b, bool transpose_b) {
   return y;
 }
 
-void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
-  ASSERT_EQ(a.shape(), b.shape());
+void expect_bitwise_equal(const Tensor& a, const Tensor& b, const std::string& what = "") {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
   const auto fa = a.flat();
   const auto fb = b.flat();
-  for (std::size_t i = 0; i < fa.size(); ++i) EXPECT_EQ(fa[i], fb[i]) << i;
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(fa[i]), std::bit_cast<std::uint32_t>(fb[i]))
+        << what << " at " << i << ": " << fa[i] << " vs " << fb[i];
+  }
+}
+
+/// Restores tier and thread-count overrides even when a test fails.
+struct DispatchGuard {
+  ~DispatchGuard() {
+    reset_isa_tier();
+    set_num_threads(0);  // 0 = restore the env/hardware default
+  }
+};
+
+/// Naive conv: bounds-test every tap, skip the ones outside the input,
+/// accumulate in c -> ky -> kx order from the bias.
+Tensor naive_conv(const Tensor& x, const Tensor& weight, const Tensor& bias, int stride,
+                  int padding, int groups) {
+  const std::int64_t n = x.size(0);
+  const std::int64_t ic = x.size(1);
+  const std::int64_t h = x.size(2);
+  const std::int64_t w = x.size(3);
+  const std::int64_t oc = weight.size(0);
+  const std::int64_t kh = weight.size(2);
+  const std::int64_t kw = weight.size(3);
+  const std::int64_t oh = (h + 2 * padding - kh) / stride + 1;
+  const std::int64_t ow = (w + 2 * padding - kw) / stride + 1;
+  const std::int64_t icg = ic / groups;
+  const std::int64_t ocg = oc / groups;
+  Tensor ref({n, oc, oh, ow});
+  const auto xd = x.flat();
+  const auto wd = weight.flat();
+  auto rd = ref.flat();
+  for (std::int64_t b = 0; b < n; ++b) {
+    for (std::int64_t o = 0; o < oc; ++o) {
+      const std::int64_t g = o / ocg;
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          float acc = bias.empty() ? 0.0f : bias[o];
+          for (std::int64_t ci = 0; ci < icg; ++ci) {
+            for (std::int64_t ky = 0; ky < kh; ++ky) {
+              const std::int64_t iy = oy * stride + ky - padding;
+              if (iy < 0 || iy >= h) continue;
+              for (std::int64_t kx = 0; kx < kw; ++kx) {
+                const std::int64_t ix = ox * stride + kx - padding;
+                if (ix < 0 || ix >= w) continue;
+                acc += xd[static_cast<std::size_t>(((b * ic + g * icg + ci) * h + iy) * w +
+                                                   ix)] *
+                       wd[static_cast<std::size_t>(((o * icg + ci) * kh + ky) * kw + kx)];
+              }
+            }
+          }
+          rd[static_cast<std::size_t>(((b * oc + o) * oh + oy) * ow + ox)] = acc;
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+/// Runs op on every tier at 1 and 4 threads against the reference.
+void expect_conv_matches_on_every_tier(Conv2dOp& op, const Tensor& x, const Tensor& ref,
+                                       const std::string& what) {
+  DispatchGuard guard;
+  for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative}) {
+    for (int threads : {1, 4}) {
+      set_isa_tier(tier);
+      set_num_threads(threads);
+      expect_bitwise_equal(op.forward({&x, 1}), ref,
+                           what + " tier " + to_string(tier) + " threads " +
+                               std::to_string(threads));
+    }
+  }
 }
 
 TEST(BlockedMatMul, MatchesNaiveAcrossShapesAndFlags) {
@@ -131,42 +210,98 @@ TEST(BlockedConv, MatchesNaiveAcrossStridePaddingGroups) {
     Tensor weight = randn(rng, {c.oc, c.ic / c.groups, c.kh, c.kw});
     Tensor bias = randn(rng, {c.oc});
     Conv2dOp op(weight, bias, c.stride, c.padding, c.groups);
-    const Tensor got = op.forward({&x, 1});
+    const Tensor ref = naive_conv(x, weight, bias, c.stride, c.padding, c.groups);
+    expect_conv_matches_on_every_tier(op, x, ref, "stride" + std::to_string(c.stride));
+  }
+}
 
-    const std::int64_t oh = (c.h + 2 * c.padding - c.kh) / c.stride + 1;
-    const std::int64_t ow = (c.w + 2 * c.padding - c.kw) / c.stride + 1;
-    const std::int64_t icg = c.ic / c.groups;
-    const std::int64_t ocg = c.oc / c.groups;
-    Tensor ref({c.n, c.oc, oh, ow});
-    const auto xd = x.flat();
-    const auto wd = weight.flat();
-    auto rd = ref.flat();
-    for (std::int64_t b = 0; b < c.n; ++b) {
-      for (std::int64_t o = 0; o < c.oc; ++o) {
-        const std::int64_t g = o / ocg;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            float acc = bias[o];
-            for (std::int64_t ci = 0; ci < icg; ++ci) {
-              for (std::int64_t ky = 0; ky < c.kh; ++ky) {
-                const std::int64_t iy = oy * c.stride + ky - c.padding;
-                if (iy < 0 || iy >= c.h) continue;
-                for (std::int64_t kx = 0; kx < c.kw; ++kx) {
-                  const std::int64_t ix = ox * c.stride + kx - c.padding;
-                  if (ix < 0 || ix >= c.w) continue;
-                  acc += xd[static_cast<std::size_t>(
-                             ((b * c.ic + g * icg + ci) * c.h + iy) * c.w + ix)] *
-                         wd[static_cast<std::size_t>(
-                             ((o * icg + ci) * c.kh + ky) * c.kw + kx)];
-                }
-              }
-            }
-            rd[static_cast<std::size_t>(((b * c.oc + o) * oh + oy) * ow + ox)] = acc;
-          }
+TEST(BlockedConv, Stride1GridMatchesNaiveOnEveryTier) {
+  // Widths 1-17 straddle the native tier's 8-lane vectors; h != w and
+  // kh != kw catch a transposed grid; padding up to 2 with a 1-wide or
+  // 1-tall kernel leaves border outputs whose whole window lies outside
+  // the input (those must come out as the bias, untouched). Output
+  // channel 0 has +Inf on its first and last tap, so a tap wrongly taken
+  // as in range turns an edge output into NaN (0 * Inf).
+  Rng rng(404);
+  const struct {
+    std::int64_t kh, kw;
+    int padding;
+  } kernels[] = {{1, 1, 0}, {3, 3, 1}, {1, 1, 2}, {2, 3, 1}, {3, 1, 2},
+                 {3, 2, 0}, {1, 3, 2}, {5, 3, 2}};
+  for (std::int64_t w = 1; w <= 17; ++w) {
+    const std::int64_t h = w % 5 + 2;
+    for (const auto& k : kernels) {
+      if (h + 2 * k.padding < k.kh || w + 2 * k.padding < k.kw) continue;
+      for (int groups : {1, 2}) {
+        const Tensor x = randn(rng, {2, 2, h, w});
+        Tensor weight = randn(rng, {4, 2 / groups, k.kh, k.kw});
+        const std::int64_t taps = k.kh * k.kw;
+        for (std::int64_t c = 0; c < 2 / groups; ++c) {
+          weight[c * taps] = std::numeric_limits<float>::infinity();
+          weight[c * taps + taps - 1] = std::numeric_limits<float>::infinity();
         }
+        const Tensor bias = randn(rng, {4});
+        Conv2dOp op(weight, bias, 1, k.padding, groups);
+        const Tensor ref = naive_conv(x, weight, bias, 1, k.padding, groups);
+        std::ostringstream what;
+        what << "h" << h << " w" << w << " k" << k.kh << "x" << k.kw << " pad" << k.padding
+             << " g" << groups;
+        expect_conv_matches_on_every_tier(op, x, ref, what.str());
       }
     }
-    expect_bitwise_equal(got, ref);
+  }
+}
+
+TEST(BlockedConv, SkippedTapsNeverTouchTheSum) {
+  // Adding a zero-padding tap instead of skipping it changes bits; each
+  // case below breaks a kernel that does.
+  Rng rng(505);
+  const std::int64_t h = 6;
+  const std::int64_t w = 11;
+  {
+    // -0.0f bias, all-zero input. Every tap but the top-left corner has a
+    // negative weight (0 * -w = -0, and -0 + -0 = -0); the corner's weight
+    // is positive (+0). Outputs on the top row / left column skip the
+    // corner and must stay -0.0f; a padded +0 product would make them +0.
+    Tensor x({1, 3, h, w});
+    Tensor weight = Tensor::full({2, 3, 3, 3}, -0.5f);
+    for (std::int64_t o = 0; o < 2; ++o) {
+      for (std::int64_t c = 0; c < 3; ++c) weight[((o * 3 + c) * 3) * 3] = 2.0f;
+    }
+    const Tensor bias = Tensor::full({2}, -0.0f);
+    Conv2dOp op(weight, bias, 1, 1);
+    const Tensor ref = naive_conv(x, weight, bias, 1, 1, 1);
+    EXPECT_TRUE(std::signbit(ref[0]));
+    expect_conv_matches_on_every_tier(op, x, ref, "negative-zero bias");
+  }
+  {
+    // +Inf weight on the bottom-right tap, finite input: edge outputs skip
+    // it and stay finite; a padded 0 * Inf product would make them NaN.
+    const Tensor x = randn(rng, {2, 2, h, w});
+    Tensor weight = randn(rng, {3, 2, 3, 3});
+    weight[8] = std::numeric_limits<float>::infinity();
+    const Tensor bias = randn(rng, {3});
+    Conv2dOp op(weight, bias, 1, 1);
+    const Tensor ref = naive_conv(x, weight, bias, 1, 1, 1);
+    EXPECT_TRUE(std::isfinite(ref[(h - 1) * w + w - 1]));
+    expect_conv_matches_on_every_tier(op, x, ref, "infinite weight");
+  }
+  {
+    // NaN on the input border: exactly the outputs whose in-range window
+    // reaches a border pixel turn NaN.
+    Tensor x = randn(rng, {1, 2, h, w});
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::int64_t c = 0; c < 2; ++c) {
+      for (std::int64_t ix = 0; ix < w; ++ix) x[(c * h) * w + ix] = nan;
+      for (std::int64_t iy = 0; iy < h; ++iy) x[(c * h + iy) * w + w - 1] = nan;
+    }
+    const Tensor weight = randn(rng, {2, 2, 3, 3});
+    const Tensor bias = randn(rng, {2});
+    for (int padding : {0, 1, 2}) {
+      Conv2dOp op(weight, bias, 1, padding);
+      const Tensor ref = naive_conv(x, weight, bias, 1, padding, 1);
+      expect_conv_matches_on_every_tier(op, x, ref, "nan border pad" + std::to_string(padding));
+    }
   }
 }
 

@@ -8,13 +8,18 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/cpu_dispatch.h"
 #include "core/parallel.h"
 #include "fp8/packed.h"
+#include "nn/conv.h"
 #include "nn/matmul.h"
+#include "obs/counters.h"
 #include "tensor/rng.h"
 
 namespace fp8q {
@@ -163,6 +168,78 @@ TEST(PackedGemm, MatchesUnpackThenMatMulBitForBit) {
       expect_bitwise_equal(packed_matmul(x, w), ref, to_string(kind));
     }
   }
+}
+
+TEST(PackedConv, MatchesFp32ConvOnTheFakeQuantizedWeight) {
+  // A packed Conv2dOp must equal the FP32 Conv2dOp run on the unpacked
+  // (fake-quantized) weight, bit for bit, at every tier and thread count.
+  DispatchGuard guard;
+  Rng rng(29);
+  const Tensor x = randn(rng, {3, 6, 7, 9});
+  for (Fp8Kind kind : {Fp8Kind::E5M2, Fp8Kind::E4M3, Fp8Kind::E3M4}) {
+    for (bool per_channel : {true, false}) {
+      for (int groups : {1, 6}) {
+        const Tensor wsrc = randn(rng, {6, 6 / groups, 3, 3});
+        const Tensor bias = randn(rng, {6});
+        const auto packed = per_channel ? PackedFp8Tensor::pack_per_channel(wsrc, kind)
+                                        : PackedFp8Tensor::pack_per_tensor(wsrc, kind);
+        Conv2dOp fp32(packed.unpack(), bias, 1, 1, groups);
+        Conv2dOp op(wsrc, bias, 1, 1, groups);
+        op.set_packed_weight(
+            std::make_shared<const PackedConvWeight>(pack_conv_weight(packed)));
+        ASSERT_TRUE(op.has_packed_weight());
+
+        set_num_threads(1);
+        set_isa_tier(IsaTier::kScalar);
+        const Tensor ref = fp32.forward({&x, 1});
+        for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative}) {
+          for (int threads : {1, 4}) {
+            set_num_threads(threads);
+            set_isa_tier(tier);
+            expect_bitwise_equal(op.forward({&x, 1}), ref,
+                                 std::string(to_string(kind)) +
+                                     (per_channel ? " per-channel" : " per-tensor") +
+                                     " groups " + std::to_string(groups) + " tier " +
+                                     to_string(tier) + " threads " + std::to_string(threads));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedConv, RejectsMismatchedDimsAndClearsBackToFp32) {
+  Rng rng(31);
+  const Tensor wsrc = randn(rng, {4, 2, 3, 3});
+  const Tensor bias = randn(rng, {4});
+  const Tensor x = randn(rng, {2, 2, 5, 5});
+  Conv2dOp op(wsrc, bias, 1, 1);
+  const Tensor fp32_out = op.forward({&x, 1});
+
+  // Wrong output-channel count, then wrong taps per channel.
+  const auto wrong_oc = std::make_shared<const PackedConvWeight>(
+      pack_conv_weight(PackedFp8Tensor::pack_per_channel(randn(rng, {3, 2, 3, 3}),
+                                                         Fp8Kind::E4M3)));
+  EXPECT_THROW(op.set_packed_weight(wrong_oc), std::invalid_argument);
+  const auto wrong_taps = std::make_shared<const PackedConvWeight>(
+      pack_conv_weight(PackedFp8Tensor::pack_per_channel(randn(rng, {4, 2, 1, 1}),
+                                                         Fp8Kind::E4M3)));
+  EXPECT_THROW(op.set_packed_weight(wrong_taps), std::invalid_argument);
+  EXPECT_FALSE(op.has_packed_weight());
+
+  op.set_packed_weight(std::make_shared<const PackedConvWeight>(
+      pack_conv_weight(PackedFp8Tensor::pack_per_channel(wsrc, Fp8Kind::E4M3))));
+  kernel_counters_reset();
+  (void)op.forward({&x, 1});
+  EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kConvPacked), 1u);
+
+  op.clear_packed_weight();
+  EXPECT_FALSE(op.has_packed_weight());
+  kernel_counters_reset();
+  expect_bitwise_equal(op.forward({&x, 1}), fp32_out, "after clear");
+  const KernelCounterSnapshot counts = kernel_counters_snapshot();
+  EXPECT_EQ(counts.get(ObsKernelPath::kConvFp32), 1u);
+  EXPECT_EQ(counts.get(ObsKernelPath::kConvPacked), 0u);
 }
 
 TEST(PackedGemm, NativeTierClampsWhenUnavailable) {

@@ -261,6 +261,34 @@ TEST(Service, ExpiredDeadlineJobsNeverRun) {
   EXPECT_NE(result.string_or("error").find("deadline"), std::string::npos);
 }
 
+TEST(Service, ForgetsTheOldestFinishedJobsBeyondTheRetentionCap) {
+  set_counters_enabled(true);
+  ServerFixture fixture;
+  Connection conn = fixture.connect();
+  // Expiring jobs are the cheapest way to finish many: none of them runs.
+  const std::string payload =
+      submit_payload("eval", "nlp/distil-mlp-0", "E4M3", ",\"deadline_ms\":0.000001");
+  const std::size_t total = Server::kRetainedFinishedJobs + 5;
+  std::uint64_t first_id = 0;
+  std::uint64_t last_id = 0;
+  for (std::size_t i = 0; i < total; ++i) {
+    const json::Value result = submit_and_wait(conn, payload);
+    ASSERT_EQ(result.string_or("state"), "expired") << i;
+    const auto id = static_cast<std::uint64_t>(result.number_or("job_id"));
+    if (i == 0) first_id = id;
+    last_id = id;
+  }
+  auto status = [&](std::uint64_t id) {
+    return roundtrip(conn, "{\"cmd\":\"status\",\"job_id\":" + std::to_string(id) + "}");
+  };
+  EXPECT_EQ(status(first_id).string_or("code"), "unknown_job");
+  EXPECT_EQ(status(first_id + 4).string_or("code"), "unknown_job");
+  EXPECT_EQ(status(first_id + 5).string_or("state"), "expired");
+  EXPECT_EQ(status(last_id).string_or("state"), "expired");
+  // Forgetting a job changes no tally.
+  EXPECT_EQ(fixture.server().stats_snapshot().expired, total);
+}
+
 TEST(Service, CancelOnlyDequeuesQueuedJobs) {
   set_counters_enabled(true);
   ServerFixture fixture;

@@ -234,11 +234,11 @@ TEST(BenchGate, CheckBenchAppliesTheSpeedupFloor) {
       R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
                     "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
   std::ostringstream out;
-  EXPECT_EQ(report_cli::check_bench(good, 1.0, 0.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(good, 3.5, 0.0, 0.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(good, {1.0, 0.0, 0.0}, out), 0);
+  EXPECT_EQ(report_cli::check_bench(good, {3.5, 0.0, 0.0}, out), 1);
   // No cast section at all is itself a failure (silent gate = no gate).
-  EXPECT_EQ(report_cli::check_bench(json::parse("{}"), 1.0, 0.0, 0.0, out), 1);
-  EXPECT_EQ(report_cli::check_bench(json::parse(R"({"cast": []})"), 1.0, 0.0, 0.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(json::parse("{}"), {1.0, 0.0, 0.0}, out), 1);
+  EXPECT_EQ(report_cli::check_bench(json::parse(R"({"cast": []})"), {1.0, 0.0, 0.0}, out), 1);
 }
 
 TEST(BenchGate, CheckBenchAppliesThePackedGemmFloor) {
@@ -251,16 +251,41 @@ TEST(BenchGate, CheckBenchAppliesThePackedGemmFloor) {
   std::ostringstream out;
   // <= 0 skips the packed gate entirely; above the floor passes; a floor
   // above the measured speedup breaches.
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 2.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 6.0, 0.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(bench, {1.0, 0.0, 0.0}, out), 0);
+  EXPECT_EQ(report_cli::check_bench(bench, {1.0, 2.0, 0.0}, out), 0);
+  EXPECT_EQ(report_cli::check_bench(bench, {1.0, 6.0, 0.0}, out), 1);
   // With the packed gate armed, a snapshot without packed_gemm rows is a
   // breach (silent gate = no gate); unarmed, the old snapshot stays valid.
   const json::Value cast_only = json::parse(
       R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
                     "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
-  EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 2.0, 0.0, out), 1);
-  EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 0.0, 0.0, out), 0);
+  EXPECT_EQ(report_cli::check_bench(cast_only, {1.0, 2.0, 0.0}, out), 1);
+  EXPECT_EQ(report_cli::check_bench(cast_only, {1.0, 0.0, 0.0}, out), 0);
+}
+
+TEST(BenchGate, CheckBenchAppliesTheConvFloor) {
+  const json::Value bench = json::parse(
+      R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
+                    "batched_elems_per_sec": 3e8, "speedup": 3.0}],
+          "conv": [{"shape": "conv3x3-c12", "scalar_gflops": 1.0,
+                    "native_gflops": 6.0, "speedup": 6.0},
+                   {"shape": "depthwise-c12", "scalar_gflops": 1.0,
+                    "native_gflops": 3.0, "speedup": 3.0}]})");
+  std::ostringstream out;
+  report_cli::BenchFloors floors;
+  EXPECT_EQ(report_cli::check_bench(bench, floors, out), 0);  // <= 0 skips
+  floors.min_conv_speedup = 2.0;
+  EXPECT_EQ(report_cli::check_bench(bench, floors, out), 0);
+  floors.min_conv_speedup = 4.0;  // only the depthwise row falls short
+  EXPECT_EQ(report_cli::check_bench(bench, floors, out), 1);
+  EXPECT_NE(out.str().find("conv depthwise-c12"), std::string::npos);
+  // Armed over a snapshot without conv rows: a breach; unarmed: valid.
+  const json::Value cast_only = json::parse(
+      R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
+                    "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
+  EXPECT_EQ(report_cli::check_bench(cast_only, floors, out), 1);
+  floors.min_conv_speedup = 0.0;
+  EXPECT_EQ(report_cli::check_bench(cast_only, floors, out), 0);
 }
 
 TEST(BenchGate, CheckBenchAppliesTheServiceJobsPerSecFloor) {
@@ -273,16 +298,16 @@ TEST(BenchGate, CheckBenchAppliesTheServiceJobsPerSecFloor) {
   std::ostringstream out;
   // A pure service snapshot passes without cast sections as long as the
   // service gate passes; the floor breaches when above the measurement.
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 1.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 5.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(bench, {1.0, 0.0, 1.0}, out), 0);
+  EXPECT_EQ(report_cli::check_bench(bench, {1.0, 0.0, 0.0}, out), 0);
+  EXPECT_EQ(report_cli::check_bench(bench, {1.0, 0.0, 5.0}, out), 1);
   EXPECT_NE(out.str().find("jobs/sec"), std::string::npos);
   // With the service gate armed, a kernel-only snapshot is a breach
   // (silent gate = no gate), mirroring the packed_gemm rule.
   const json::Value cast_only = json::parse(
       R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
                     "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
-  EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 0.0, 1.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(cast_only, {1.0, 0.0, 1.0}, out), 1);
 }
 
 TEST(BenchGate, DiffBenchCatchesThroughputRegressions) {
@@ -297,6 +322,20 @@ TEST(BenchGate, DiffBenchCatchesThroughputRegressions) {
   EXPECT_EQ(report_cli::diff_bench(base, slower, 20.0, out), 1);
   EXPECT_EQ(report_cli::diff_bench(base, slower, 60.0, out), 0);
   EXPECT_EQ(report_cli::diff_bench(base, base, 0.0, out), 0);
+}
+
+TEST(BenchGate, DiffBenchComparesConvRowsByShape) {
+  const json::Value base = json::parse(
+      R"({"conv": [{"shape": "stem", "native_gflops": 8.0},
+                   {"shape": "pointwise-c12", "native_gflops": 10.0}]})");
+  const json::Value slower = json::parse(
+      R"({"conv": [{"shape": "pointwise-c12", "native_gflops": 9.0},
+                   {"shape": "stem", "native_gflops": 4.0}]})");
+  std::ostringstream out;
+  // stem halved (-50%) breaches a 20% limit; pointwise -10% does not.
+  EXPECT_EQ(report_cli::diff_bench(base, slower, 20.0, out), 1);
+  EXPECT_NE(out.str().find("conv stem native GFLOP/s"), std::string::npos);
+  EXPECT_EQ(report_cli::diff_bench(base, slower, 60.0, out), 0);
 }
 
 TEST(RunCli, ExitCodesAndFlagParsing) {
@@ -351,6 +390,14 @@ TEST(RunCli, ExitCodesAndFlagParsing) {
   EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=1.5",
                              "--min-packed-gemm-speedup=2.0"},
                             out, err), 1);
+
+  // --min-conv-speedup arms the conv gate the same way.
+  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=1.5",
+                             "--min-conv-speedup=2.0"},
+                            out, err), 1);
+  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=1.5",
+                             "--min-conv-speedup=0"},
+                            out, err), 0);
 
   // diff-bench wires through to the regression gate.
   EXPECT_EQ(report_cli::run({"diff-bench", bench_path, bench_path}, out, err), 0);

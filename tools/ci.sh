@@ -8,8 +8,9 @@
 #      annotation tooling (fails on any finding)
 #   3. perf + telemetry smoke: bench_kernels --smoke twice, with report /
 #      trace export on; `fp8q_report check-bench` enforces the batched >=
-#      scalar cast-speedup floor and the packed-GEMM >= 2x dequantize
-#      floor (docs/KERNELS.md), `fp8q_report check-trace` validates the
+#      scalar cast-speedup floor, the packed-GEMM >= 2x dequantize floor
+#      and the native conv >= 2x scalar floor (docs/KERNELS.md),
+#      `fp8q_report check-trace` validates the
 #      Chrome trace JSON, and `fp8q_report diff` between the two runs
 #      gates counter determinism and wall/memory regressions with explicit
 #      thresholds (docs/PERFORMANCE.md, docs/OBSERVABILITY.md). A third
@@ -63,7 +64,9 @@ step "perf + telemetry smoke (bench_kernels --smoke through fp8q_report)"
 # live in fp8q_report, each with an explicit threshold:
 #   check-bench   batched cast kernel must not lose to the scalar loop;
 #                 packed FP8 GEMM must beat dequantize-then-matmul >= 2x
-#                 (docs/KERNELS.md -- the decode-in-register win)
+#                 (docs/KERNELS.md -- the decode-in-register win);
+#                 native-tier Conv2d must beat the scalar tap loop >= 2x
+#                 (a tripwire against losing the vector conv path)
 #   check-trace   FP8Q_TRACE_JSON output must be valid, properly nested
 #                 Chrome trace JSON
 #   print         the run report must round-trip through the hardened
@@ -72,7 +75,7 @@ FP8Q_TRACE=1 FP8Q_TRACE_JSON="$PREFIX/trace_smoke.json" \
   FP8Q_REPORT="$PREFIX/report_smoke.json" \
   "$PREFIX/bench/bench_kernels" --smoke --out="$PREFIX/BENCH_kernels_smoke.json"
 "$PREFIX/tools/fp8q_report" check-bench "$PREFIX/BENCH_kernels_smoke.json" \
-  --min-cast-speedup=1.0 --min-packed-gemm-speedup=2.0
+  --min-cast-speedup=1.0 --min-packed-gemm-speedup=2.0 --min-conv-speedup=2.0
 "$PREFIX/tools/fp8q_report" check-trace "$PREFIX/trace_smoke.json"
 "$PREFIX/tools/fp8q_report" print "$PREFIX/report_smoke.json" > /dev/null
 

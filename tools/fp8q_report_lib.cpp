@@ -345,8 +345,7 @@ std::vector<std::string> validate_chrome_trace(std::string_view json_text) {
   return problems;
 }
 
-int check_bench(const json::Value& bench, double min_speedup, double min_packed_speedup,
-                double min_jobs_per_sec, std::ostream& out) {
+int check_bench(const json::Value& bench, const BenchFloors& floors, std::ostream& out) {
   Gate gate{out};
   const json::Value* casts = bench.is_object() ? bench.find("cast") : nullptr;
   const json::Value* service = bench.is_object() ? bench.find("service") : nullptr;
@@ -366,11 +365,11 @@ int check_bench(const json::Value& bench, double min_speedup, double min_packed_
       const double speedup = c.number_or("speedup", scalar > 0.0 ? batched / scalar : 0.0);
       std::ostringstream line;
       line << "cast " << c.string_or("format") << " batched/scalar speedup " << std::fixed
-           << std::setprecision(2) << speedup << "x (min " << min_speedup << "x)";
-      gate.check(speedup < min_speedup, line.str());
+           << std::setprecision(2) << speedup << "x (min " << floors.min_cast_speedup << "x)";
+      gate.check(speedup < floors.min_cast_speedup, line.str());
     }
   }
-  if (min_packed_speedup > 0.0) {
+  if (floors.min_packed_gemm_speedup > 0.0) {
     const json::Value* packed = bench.is_object() ? bench.find("packed_gemm") : nullptr;
     if (packed == nullptr || !packed->is_array() || packed->array.empty()) {
       gate.check(true, "bench json has no packed_gemm measurements");
@@ -385,11 +384,28 @@ int check_bench(const json::Value& bench, double min_speedup, double min_packed_
       line << "packed_gemm " << p.number_or("m") << "x" << p.number_or("k") << "x"
            << p.number_or("n") << " " << p.string_or("format")
            << " packed/dequant speedup " << std::fixed << std::setprecision(2) << speedup
-           << "x (min " << min_packed_speedup << "x)";
-      gate.check(speedup < min_packed_speedup, line.str());
+           << "x (min " << floors.min_packed_gemm_speedup << "x)";
+      gate.check(speedup < floors.min_packed_gemm_speedup, line.str());
     }
   }
-  if (min_jobs_per_sec > 0.0) {
+  if (floors.min_conv_speedup > 0.0) {
+    const json::Value* convs = bench.is_object() ? bench.find("conv") : nullptr;
+    if (convs == nullptr || !convs->is_array() || convs->array.empty()) {
+      gate.check(true, "bench json has no conv measurements");
+      return gate.breaches;
+    }
+    for (const json::Value& c : convs->array) {
+      if (!c.is_object()) continue;
+      const double ng = c.number_or("native_gflops");
+      const double sg = c.number_or("scalar_gflops");
+      const double speedup = c.number_or("speedup", sg > 0.0 ? ng / sg : 0.0);
+      std::ostringstream line;
+      line << "conv " << c.string_or("shape") << " native/scalar speedup " << std::fixed
+           << std::setprecision(2) << speedup << "x (min " << floors.min_conv_speedup << "x)";
+      gate.check(speedup < floors.min_conv_speedup, line.str());
+    }
+  }
+  if (floors.min_jobs_per_sec > 0.0) {
     if (!has_service) {
       gate.check(true, "bench json has no service measurements");
       return gate.breaches;
@@ -397,8 +413,8 @@ int check_bench(const json::Value& bench, double min_speedup, double min_packed_
     const double jobs_per_sec = service->number_or("jobs_per_sec");
     std::ostringstream line;
     line << "service sustained " << std::fixed << std::setprecision(2) << jobs_per_sec
-         << " jobs/sec (min " << min_jobs_per_sec << ")";
-    gate.check(jobs_per_sec < min_jobs_per_sec, line.str());
+         << " jobs/sec (min " << floors.min_jobs_per_sec << ")";
+    gate.check(jobs_per_sec < floors.min_jobs_per_sec, line.str());
     if (const json::Value* latency = service->find("latency_ms");
         latency != nullptr && latency->is_object()) {
       std::ostringstream tail;
@@ -495,6 +511,20 @@ int diff_bench(const json::Value& base, const json::Value& candidate,
       }
     }
   }
+
+  const json::Value* base_conv = base.is_object() ? base.find("conv") : nullptr;
+  const json::Value* cand_conv = candidate.is_object() ? candidate.find("conv") : nullptr;
+  if (base_conv != nullptr && base_conv->is_array() && cand_conv != nullptr &&
+      cand_conv->is_array()) {
+    for (const json::Value& bc : base_conv->array) {
+      for (const json::Value& cc : cand_conv->array) {
+        if (cc.string_or("shape") != bc.string_or("shape")) continue;
+        gate_rate("conv " + bc.string_or("shape") + " native GFLOP/s",
+                  bc.number_or("native_gflops"), cc.number_or("native_gflops"));
+        break;
+      }
+    }
+  }
   return gate.breaches;
 }
 
@@ -532,6 +562,7 @@ constexpr const char* kUsage =
     "  check-trace <trace.json>\n"
     "  check-bench <BENCH.json> [--min-cast-speedup=S]\n"
     "       [--min-packed-gemm-speedup=S]   (<= 0 skips the packed gate)\n"
+    "       [--min-conv-speedup=S]          (<= 0 skips the conv gate)\n"
     "       [--min-jobs-per-sec=J]          (<= 0 skips the service gate)\n"
     "  diff-bench <base_BENCH.json> <candidate_BENCH.json> [--max-regress-pct=P]\n";
 
@@ -585,19 +616,18 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     }
 
     if (cmd == "check-bench" && args.size() >= 2) {
-      double min_speedup = 1.0;
-      double min_packed_speedup = 0.0;  // off unless requested: old snapshots stay valid
-      double min_jobs_per_sec = 0.0;    // off unless requested: kernel snapshots stay valid
+      BenchFloors floors;
       for (std::size_t i = 2; i < args.size(); ++i) {
-        if (!flag_value(args[i], "--min-cast-speedup", &min_speedup) &&
-            !flag_value(args[i], "--min-packed-gemm-speedup", &min_packed_speedup) &&
-            !flag_value(args[i], "--min-jobs-per-sec", &min_jobs_per_sec)) {
+        if (!flag_value(args[i], "--min-cast-speedup", &floors.min_cast_speedup) &&
+            !flag_value(args[i], "--min-packed-gemm-speedup",
+                        &floors.min_packed_gemm_speedup) &&
+            !flag_value(args[i], "--min-conv-speedup", &floors.min_conv_speedup) &&
+            !flag_value(args[i], "--min-jobs-per-sec", &floors.min_jobs_per_sec)) {
           err << "fp8q_report: unknown flag " << args[i] << "\n" << kUsage;
           return 2;
         }
       }
-      const int breaches = check_bench(json::parse(read_file(args[1])), min_speedup,
-                                       min_packed_speedup, min_jobs_per_sec, out);
+      const int breaches = check_bench(json::parse(read_file(args[1])), floors, out);
       out << (breaches > 0 ? "fp8q_report: bench gate FAILED\n" : "fp8q_report: bench ok\n");
       return breaches > 0 ? 1 : 0;
     }

@@ -52,25 +52,31 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
 /// empty = valid.
 [[nodiscard]] std::vector<std::string> validate_chrome_trace(std::string_view json_text);
 
+/// Floors for check_bench. A floor <= 0 skips its gate, so snapshots
+/// written before a section existed stay valid; an armed floor over a
+/// snapshot without its section is a breach (silent gate = no gate).
+struct BenchFloors {
+  double min_cast_speedup = 1.0;         ///< every "cast" row, batched / scalar
+  double min_packed_gemm_speedup = 0.0;  ///< every "packed_gemm" row, packed / dequant
+  double min_jobs_per_sec = 0.0;         ///< the "service" section's sustained rate
+  double min_conv_speedup = 0.0;         ///< every "conv" row, native / scalar
+};
+
 /// Gate over one BENCH_*.json snapshot. Kernel snapshots (bench_kernels):
-/// every "cast" entry's batched/scalar speedup must be >= min_speedup,
-/// and -- when min_packed_speedup > 0 -- every "packed_gemm" entry's
-/// packed/dequant speedup must be >= min_packed_speedup (a missing
-/// packed_gemm section is then a breach; <= 0 skips the packed gate).
-/// Service snapshots (fp8qd_bench, docs/SERVICE.md): when
-/// min_jobs_per_sec > 0, the "service" section's sustained jobs_per_sec
-/// must be >= that floor (a missing service section is then a breach;
-/// <= 0 skips the service gate), and a multi-row "runs" array (the
-/// --append worker-scaling curve) is echoed one note per row. A snapshot
-/// with neither a cast nor a service section is always a breach. Returns
-/// breach count.
-int check_bench(const json::Value& bench, double min_speedup, double min_packed_speedup,
-                double min_jobs_per_sec, std::ostream& out);
+/// every "cast" entry's batched/scalar speedup must be >= the cast floor;
+/// when armed, every "packed_gemm" entry's packed/dequant speedup and
+/// every "conv" entry's native/scalar speedup must reach their floors.
+/// Service snapshots (fp8qd_bench, docs/SERVICE.md): when armed, the
+/// "service" section's sustained jobs_per_sec must reach its floor, and a
+/// multi-row "runs" array (the --append worker-scaling curve) is echoed
+/// one note per row. A snapshot with neither a cast nor a service section
+/// is always a breach. Returns breach count.
+int check_bench(const json::Value& bench, const BenchFloors& floors, std::ostream& out);
 
 /// Diffs two BENCH_kernels*.json snapshots: batched cast throughput (per
-/// format), matmul GFLOP/s (per shape) and packed-GEMM GFLOP/s (per
-/// shape+format) may regress at most max_regress_pct percent. Returns
-/// breach count.
+/// format), matmul GFLOP/s (per shape), packed-GEMM GFLOP/s (per
+/// shape+format) and native-tier conv GFLOP/s (per shape) may regress at
+/// most max_regress_pct percent. Returns breach count.
 int diff_bench(const json::Value& base, const json::Value& candidate,
                double max_regress_pct, std::ostream& out);
 
