@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace fp8q {
 
@@ -24,18 +25,17 @@ bool native_available_cached() {
   return value;
 }
 
-/// FP8Q_ISA parse; falls back to the best supported tier on unset/unknown.
+/// The best tier this CPU runs: kNative, or kScalar without a native path.
+IsaTier best_tier() {
+  return native_available_cached() ? IsaTier::kNative : IsaTier::kScalar;
+}
+
+/// FP8Q_ISA parse; "scalar" pins the reference tier, anything else
+/// ("native", "avx2", "neon", unset or unknown) takes the best tier.
 IsaTier env_default_tier() {
   const char* v = std::getenv("FP8Q_ISA");
-  const IsaTier best = native_available_cached() ? IsaTier::kNative : IsaTier::kBatched;
-  if (v == nullptr || v[0] == '\0') return best;
-  if (std::strcmp(v, "scalar") == 0) return IsaTier::kScalar;
-  if (std::strcmp(v, "batched") == 0) return IsaTier::kBatched;
-  if (std::strcmp(v, "native") == 0 || std::strcmp(v, "avx2") == 0 ||
-      std::strcmp(v, "neon") == 0) {
-    return best;  // a native request clamps to batched when unsupported
-  }
-  return best;
+  if (v != nullptr && std::strcmp(v, "scalar") == 0) return IsaTier::kScalar;
+  return best_tier();
 }
 
 IsaTier env_tier_cached() {
@@ -46,25 +46,13 @@ IsaTier env_tier_cached() {
 /// -1 = use the FP8Q_ISA / probe default; otherwise an IsaTier value.
 std::atomic<int> g_tier_override{-1};
 
-/// -1 = use the FP8Q_PACKED default; 0/1 = explicit override.
-std::atomic<int> g_packed_override{-1};
-
-bool env_packed_default() {
-  // Default ON: packed compute is bit-identical to the dequantized path
-  // (docs/KERNELS.md), so the knob only exists to measure the difference.
-  static const bool value = [] {
-    const char* v = std::getenv("FP8Q_PACKED");
-    return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-  }();
-  return value;
-}
+std::atomic<bool> g_packed_enabled{true};
 
 }  // namespace
 
 const char* to_string(IsaTier tier) {
   switch (tier) {
     case IsaTier::kScalar: return "scalar";
-    case IsaTier::kBatched: return "batched";
     case IsaTier::kNative: return "native";
   }
   return "?";
@@ -77,7 +65,7 @@ IsaTier isa_tier() {
 }
 
 void set_isa_tier(IsaTier tier) {
-  if (tier == IsaTier::kNative && !native_available_cached()) tier = IsaTier::kBatched;
+  if (tier == IsaTier::kNative) tier = best_tier();
   g_tier_override.store(static_cast<int>(tier), std::memory_order_relaxed);
 }
 
@@ -96,30 +84,19 @@ const char* isa_native_name() {
 }
 
 const char* isa_label() {
-  switch (isa_tier()) {
-    case IsaTier::kScalar: return "scalar";
-    case IsaTier::kBatched: return "batched";
-    case IsaTier::kNative:
-#if defined(__aarch64__)
-      return "native:neon";
-#else
-      return "native:avx2";
-#endif
-  }
-  return "?";
+  const IsaTier tier = isa_tier();
+  if (tier == IsaTier::kScalar) return to_string(tier);
+  static const std::string native =
+      std::string(to_string(IsaTier::kNative)) + ":" + isa_native_name();
+  return native.c_str();
 }
 
-bool packed_compute_enabled() {
-  const int override_v = g_packed_override.load(std::memory_order_relaxed);
-  return override_v >= 0 ? override_v != 0 : env_packed_default();
-}
+bool packed_compute_enabled() { return g_packed_enabled.load(std::memory_order_relaxed); }
 
 void set_packed_compute_enabled(bool enabled) {
-  g_packed_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_packed_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-void reset_packed_compute_enabled() {
-  g_packed_override.store(-1, std::memory_order_relaxed);
-}
+void reset_packed_compute_enabled() { set_packed_compute_enabled(true); }
 
 }  // namespace fp8q

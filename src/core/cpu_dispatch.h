@@ -1,21 +1,19 @@
 // Runtime CPU dispatch for the packed FP8 kernels (docs/KERNELS.md).
 //
-// The packed GEMM/conv kernels (nn/packed_gemm.h) come in three tiers
-// that produce bit-identical results and differ only in speed:
+// The packed GEMM/conv kernels (nn/packed_gemm.h) come in two tiers that
+// produce bit-identical results and differ only in speed:
 //
 //   kScalar   portable reference: table-lookup decode, plain loops. The
-//             bit-exactness anchor every other tier is tested against.
-//   kBatched  branch-free uint32-lane decode written so the compiler
-//             auto-vectorizes it (the fp8_quantize_batch style). Works on
-//             every target; the default when no native path exists.
+//             bit-exactness anchor the native tier is tested against, and
+//             the fallback on targets without a native path.
 //   kNative   explicit SIMD (AVX2 on x86-64, NEON on aarch64) with the
 //             same per-element operation order as the scalar tier.
 //
 // Tier resolution order: set_isa_tier() override > the FP8Q_ISA
-// environment variable ("scalar" | "batched" | "native"; "avx2"/"neon"
-// are accepted aliases for "native") > the best tier the CPU supports.
-// A request for kNative on a machine without a native path clamps to
-// kBatched, so isa_tier() always names a tier that can actually run.
+// environment variable ("scalar" | "native"; "avx2"/"neon" are accepted
+// aliases for "native") > the best tier the CPU supports. A request for
+// kNative on a machine without a native path clamps to kScalar, so
+// isa_tier() always names a tier that can actually run.
 //
 // The probe is a one-time cpuid check (__builtin_cpu_supports on x86-64;
 // NEON is baseline on aarch64), cached after first use. Dispatch happens
@@ -23,21 +21,19 @@
 // (packed_kernels in nn/packed_gemm.h), so tests can flip tiers between
 // calls with set_isa_tier().
 //
-// FP8Q_PACKED gates whether the quantization pipeline attaches packed
-// weights to ops at all (QuantizedGraph::prepare); default on, "0"
-// disables and restores the dequantize-to-FP32 path. Because the packed
-// kernels are bit-identical to that path, the knob is a performance
-// switch, not a numerics switch.
+// packed_compute_enabled() gates whether the quantization pipeline
+// attaches packed weights to ops at all (QuantizedGraph::prepare). It is
+// always on outside tests: the packed kernels are bit-identical to the
+// dequantize-to-FP32 path, so turning it off only changes speed.
 #pragma once
 
 namespace fp8q {
 
 /// Kernel implementation tiers, ordered from reference to fastest.
-enum class IsaTier { kScalar = 0, kBatched = 1, kNative = 2 };
-inline constexpr int kIsaTierCount = 3;
+enum class IsaTier { kScalar = 0, kNative = 1 };
 
 /// Stable lowercase tier names used in reports and bench JSON
-/// ("scalar", "batched", "native").
+/// ("scalar", "native").
 [[nodiscard]] const char* to_string(IsaTier tier);
 
 /// The tier packed kernels dispatch on (see resolution order above).
@@ -45,7 +41,7 @@ inline constexpr int kIsaTierCount = 3;
 [[nodiscard]] IsaTier isa_tier();
 
 /// Programmatic override of the FP8Q_ISA / probe default (tests, benches).
-/// A kNative request without native support clamps to kBatched.
+/// A kNative request without native support clamps to kScalar.
 void set_isa_tier(IsaTier tier);
 
 /// Clears the override and restores the FP8Q_ISA / probe default.
@@ -58,18 +54,18 @@ void reset_isa_tier();
 /// selected tier -- reports record both.
 [[nodiscard]] const char* isa_native_name();
 
-/// "scalar" / "batched" / "native:avx2" -- the fully resolved dispatch
-/// label written into run reports and bench rows.
+/// "scalar" / "native:avx2" / "native:neon" -- the fully resolved
+/// dispatch label written into run reports and bench rows.
 [[nodiscard]] const char* isa_label();
 
 /// True when QuantizedGraph should attach packed weights to compute ops
-/// (FP8Q_PACKED, default on; set_packed_compute_enabled overrides).
+/// (default on; set_packed_compute_enabled overrides).
 [[nodiscard]] bool packed_compute_enabled();
 
-/// Programmatic override of FP8Q_PACKED (tests).
+/// Programmatic override of the packed-compute default (tests).
 void set_packed_compute_enabled(bool enabled);
 
-/// Clears the override and restores the FP8Q_PACKED default.
+/// Clears the override and restores the default (on).
 void reset_packed_compute_enabled();
 
 }  // namespace fp8q

@@ -10,9 +10,9 @@
 //
 //   * fp8_decode_table  -- a 256-entry float LUT per format, built from
 //     the reference fp8_decode. The scalar kernel tier reads it directly;
-//     every other tier is tested bit-equal against it.
+//     the native tier is tested bit-equal against it.
 //   * Fp8DecodeSpec     -- the constants for the branch-free uint32-lane
-//     decode (fp8_decode_bits) used by the batched and native tiers.
+//     decode (fp8_decode_bits) used by the native tier.
 //     Normal codes are rebuilt as float32 bits with pure integer ops
 //     (shift the magnitude into position, ADD the rebias to the exponent
 //     field); subnormal codes -- whose magnitude bits are just an integer
@@ -23,7 +23,7 @@
 //     range), so the decode is bit-identical to the LUT for all 256 codes
 //     -- signed zero, subnormals, Inf (IEEE family), NaN (canonical
 //     quiet-NaN bits) -- and never touches a denormal float32 operand,
-//     which would stall the SIMD tiers with microcode assists on x86.
+//     which would stall the SIMD tier with microcode assists on x86.
 //
 // Round-tripping through the packed form reproduces the fake-quantized
 // tensor exactly for every non-NaN input: unpack computes
@@ -72,7 +72,7 @@ struct Fp8DecodeSpec {
 /// fp8_decode(code). Identical to the table for all 256 codes; written in
 /// uint32 lanes (shift, bit-or, one exact multiply, compare-selects) so
 /// the same operation sequence maps 1:1 onto SIMD in the kernel tiers.
-/// Inline so the batched tier's inner loop auto-vectorizes through it.
+/// Inline: the native tier calls it per code in its tail loops.
 [[nodiscard]] inline std::uint32_t fp8_decode_bits(std::uint8_t code,
                                                    const Fp8DecodeSpec& spec) {
   const auto c = static_cast<std::uint32_t>(code);

@@ -175,6 +175,15 @@ namespace {
 
 using json::Value;
 
+/// Fills a 1-D counter family from its flat object; absent keys stay 0.
+template <typename Snapshot>
+void parse_event_counts(const Value* v, Snapshot& snap) {
+  if (v == nullptr || !v->is_object()) return;
+  for_each_event(snap, [&](const char* name, std::uint64_t& cell) {
+    cell = static_cast<std::uint64_t>(v->number_or(name));
+  });
+}
+
 CounterSnapshot parse_counters(const Value* v) {
   CounterSnapshot snap;
   if (v == nullptr || !v->is_object()) return snap;
@@ -248,18 +257,8 @@ RunReport report_from_json(std::istream& in) {
   report.num_threads = static_cast<int>(root.number_or("num_threads"));
   report.isa = root.string_or("isa");
   report.counters = parse_counters(root.find("counters"));
-  if (const Value* wc = root.find("weight_cache"); wc != nullptr && wc->is_object()) {
-    for (int e = 0; e < kObsCacheEventCount; ++e) {
-      report.weight_cache.counts[e] = static_cast<std::uint64_t>(
-          wc->number_or(to_string(static_cast<ObsCacheEvent>(e))));
-    }
-  }
-  if (const Value* kp = root.find("kernel_paths"); kp != nullptr && kp->is_object()) {
-    for (int e = 0; e < kObsKernelPathCount; ++e) {
-      report.kernel_paths.counts[e] = static_cast<std::uint64_t>(
-          kp->number_or(to_string(static_cast<ObsKernelPath>(e))));
-    }
-  }
+  parse_event_counts(root.find("weight_cache"), report.weight_cache);
+  parse_event_counts(root.find("kernel_paths"), report.kernel_paths);
   if (const Value* mem = root.find("memory"); mem != nullptr && mem->is_object()) {
     report.memory.peak_rss_bytes =
         static_cast<std::uint64_t>(mem->number_or("peak_rss_bytes"));

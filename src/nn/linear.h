@@ -4,7 +4,7 @@
 //   * FP32: the blocked row-kernel over the weight_ tensor -- always
 //     available, and what runs for unquantized graphs.
 //   * Packed: when a PackedWeightMatrix is attached (set_packed_weight,
-//     done by QuantizedGraph::prepare when FP8Q_PACKED is on), forward
+//     done by QuantizedGraph::prepare when packed_compute_enabled()), forward
 //     streams the 8-bit weight codes through packed_gemm_forward and never
 //     touches weight_. Bit-identical to running the FP32 path on the
 //     fake-quantized weight, at every ISA tier and thread count.

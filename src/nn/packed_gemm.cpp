@@ -12,14 +12,14 @@
 namespace fp8q {
 namespace {
 
-// Column-tile width for the portable tiers: wide enough that the decode
-// and accumulate loops amortize their setup and auto-vectorize cleanly,
-// small enough that four rows of accumulators stay in L1.
+// Column-tile width for the scalar tier: wide enough that the decode and
+// accumulate loops amortize their setup, small enough that a row of
+// accumulators stays in L1.
 constexpr std::int64_t kTileN = 64;
 
 // ---------------------------------------------------------------------------
 // kScalar tier: table-lookup decode, plain loops. This is the reference
-// every other tier is tested bit-equal against, so it favors obviousness
+// the native tier is tested bit-equal against, so it favors obviousness
 // over speed: one row at a time, one output element's ascending
 // kk-summation clearly visible.
 // ---------------------------------------------------------------------------
@@ -57,102 +57,8 @@ void gemm_scalar_tier(const float* x, const PackedWeightMatrix& w, const float* 
   }
 }
 
-// ---------------------------------------------------------------------------
-// kBatched tier: branch-free uint32-lane decode (fp8_decode_bits) in loops
-// shaped for the auto-vectorizer -- decode a tile of weights into a local
-// buffer, then stream four rows of activations against it. This TU is
-// compiled -O3 -ffp-contract=off, so each acc update is an exact mul+add
-// in both the scalar and vector lowering.
-// ---------------------------------------------------------------------------
-
-void decode_mul_batched_tier(const std::uint8_t* codes, float inv, float* out,
-                             std::int64_t count, Fp8Kind kind) {
-  const Fp8DecodeSpec& spec = fp8_decode_spec(kind);
-  for (std::int64_t i = 0; i < count; ++i) {
-    out[i] = std::bit_cast<float>(fp8_decode_bits(codes[i], spec)) * inv;
-  }
-}
-
-void gemm_batched_tier(const float* x, const PackedWeightMatrix& w, const float* bias,
-                       float* y, std::int64_t rows) {
-  const Fp8DecodeSpec& spec = fp8_decode_spec(w.kind);
-  const std::int64_t n = w.n;
-  const std::int64_t k = w.k;
-  const std::uint8_t* codes = w.codes.data();
-  const float* invs = w.inv_scales.data();
-  float wbuf[kTileN];
-  float acc0[kTileN];
-  float acc1[kTileN];
-  float acc2[kTileN];
-  float acc3[kTileN];
-  std::int64_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const float* x0 = x + (r + 0) * k;
-    const float* x1 = x + (r + 1) * k;
-    const float* x2 = x + (r + 2) * k;
-    const float* x3 = x + (r + 3) * k;
-    for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-      const std::int64_t jw = std::min(kTileN, n - j0);
-      for (std::int64_t j = 0; j < jw; ++j) {
-        const float b = bias ? bias[j0 + j] : 0.0f;
-        acc0[j] = b;
-        acc1[j] = b;
-        acc2[j] = b;
-        acc3[j] = b;
-      }
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const std::uint8_t* crow = codes + kk * n + j0;
-        const float* inv = invs + j0;
-        // Decode once, reuse across the four rows: the decoded weight is
-        // the same value whichever row consumes it, so sharing it cannot
-        // change any element's arithmetic.
-        for (std::int64_t j = 0; j < jw; ++j) {
-          wbuf[j] = std::bit_cast<float>(fp8_decode_bits(crow[j], spec)) * inv[j];
-        }
-        const float xv0 = x0[kk];
-        const float xv1 = x1[kk];
-        const float xv2 = x2[kk];
-        const float xv3 = x3[kk];
-        for (std::int64_t j = 0; j < jw; ++j) {
-          const float wv = wbuf[j];
-          acc0[j] += xv0 * wv;
-          acc1[j] += xv1 * wv;
-          acc2[j] += xv2 * wv;
-          acc3[j] += xv3 * wv;
-        }
-      }
-      for (std::int64_t j = 0; j < jw; ++j) {
-        y[(r + 0) * n + j0 + j] = acc0[j];
-        y[(r + 1) * n + j0 + j] = acc1[j];
-        y[(r + 2) * n + j0 + j] = acc2[j];
-        y[(r + 3) * n + j0 + j] = acc3[j];
-      }
-    }
-  }
-  for (; r < rows; ++r) {
-    const float* xr = x + r * k;
-    float* yr = y + r * n;
-    for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-      const std::int64_t jw = std::min(kTileN, n - j0);
-      for (std::int64_t j = 0; j < jw; ++j) acc0[j] = bias ? bias[j0 + j] : 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const std::uint8_t* crow = codes + kk * n + j0;
-        const float* inv = invs + j0;
-        const float xv = xr[kk];
-        for (std::int64_t j = 0; j < jw; ++j) {
-          const float wv = std::bit_cast<float>(fp8_decode_bits(crow[j], spec)) * inv[j];
-          acc0[j] += xv * wv;
-        }
-      }
-      for (std::int64_t j = 0; j < jw; ++j) yr[j0 + j] = acc0[j];
-    }
-  }
-}
-
 constexpr PackedKernelTable kScalarTable{decode_mul_scalar_tier, gemm_scalar_tier,
                                          detail::conv2d_clamped};
-constexpr PackedKernelTable kBatchedTable{decode_mul_batched_tier, gemm_batched_tier,
-                                          detail::conv2d_clamped};
 
 }  // namespace
 
@@ -219,18 +125,12 @@ void conv2d_clamped(const Conv2dGeometry& geo, const float* xd, const float* wd,
 
 }  // namespace detail
 
-const PackedKernelTable& packed_kernels(IsaTier tier) {
-  switch (tier) {
-    case IsaTier::kScalar:
-      return kScalarTable;
-    case IsaTier::kBatched:
-      return kBatchedTable;
-    case IsaTier::kNative:
+const PackedKernelTable& packed_kernels([[maybe_unused]] IsaTier tier) {
 #if defined(FP8Q_PACKED_NATIVE_TU)
-      if (isa_native_available()) return detail::packed_kernels_native_impl();
-#endif
-      return kBatchedTable;
+  if (tier == IsaTier::kNative && isa_native_available()) {
+    return detail::packed_kernels_native_impl();
   }
+#endif
   return kScalarTable;
 }
 

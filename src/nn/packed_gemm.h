@@ -35,8 +35,8 @@
 // Dispatch: packed_kernels(tier) returns a per-tier function table;
 // callers index it with isa_tier() (core/cpu_dispatch.h). The kNative
 // table is compiled in arch-specific TUs (packed_gemm_avx2.cpp,
-// packed_gemm_neon.cpp) and falls back to kBatched when the CPU or the
-// build lacks a native path. The table's conv2d entry runs on an FP32
+// packed_gemm_neon.cpp) and falls back to the kScalar table when the CPU
+// or the build lacks a native path. The table's conv2d entry runs on an FP32
 // weight and serves both Conv2d paths: the packed path decodes its codes
 // with decode_mul first. It keeps the clamped tap loop's bits at every
 // tier (docs/KERNELS.md).
@@ -123,7 +123,7 @@ struct PackedKernelTable {
                  float* y, std::int64_t plane_lo, std::int64_t plane_hi);
 };
 
-/// Function table for one tier. kNative falls back to the batched table
+/// Function table for one tier. kNative falls back to the scalar table
 /// when no native path exists (missing CPU feature or non-SIMD build).
 [[nodiscard]] const PackedKernelTable& packed_kernels(IsaTier tier);
 
@@ -141,7 +141,7 @@ namespace detail {
 /// Defined by the arch TU compiled into this build (AVX2 or NEON).
 [[nodiscard]] const PackedKernelTable& packed_kernels_native_impl();
 
-/// The portable conv2d entry (scalar and batched tiers, and every shape a
+/// The portable conv2d entry (the scalar tier, and every shape a
 /// native kernel does not cover): per output element, the kernel window
 /// is clamped to the input once and the in-range taps are summed.
 void conv2d_clamped(const Conv2dGeometry& g, const float* x, const float* w,

@@ -189,7 +189,26 @@ void counters_reset() {
 }
 
 namespace {
-std::atomic<std::uint64_t> g_cache_counts[kObsCacheEventCount] = {};
+
+constinit AtomicEventCounts<CacheCounterSnapshot> g_cache_counts;
+constinit AtomicEventCounts<KernelCounterSnapshot> g_kernel_counts;
+
+/// The cells a 1-D counter call on this thread touches: the bound
+/// domain's (obs/domain.h), else the process globals.
+template <typename Cells>
+Cells& routed(Cells& global, Cells& (CounterDomain::*member)()) {
+  CounterDomain* domain = current_counter_domain();
+  return domain != nullptr ? (domain->*member)() : global;
+}
+
+AtomicEventCounts<CacheCounterSnapshot>& cache_cells() {
+  return routed(g_cache_counts, &CounterDomain::cache_cells);
+}
+
+AtomicEventCounts<KernelCounterSnapshot>& kernel_cells() {
+  return routed(g_kernel_counts, &CounterDomain::kernel_cells);
+}
+
 }  // namespace
 
 const char* to_string(ObsCacheEvent event) {
@@ -203,49 +222,12 @@ const char* to_string(ObsCacheEvent event) {
 }
 
 void cache_counter_add(ObsCacheEvent event, std::uint64_t n) {
-  if (n == 0) return;
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->add_cache(event, n);
-    return;
-  }
-  g_cache_counts[static_cast<int>(event)].fetch_add(n, std::memory_order_relaxed);
+  if (n != 0) cache_cells().add(event, n);
 }
 
-bool CacheCounterSnapshot::any() const {
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    if (counts[e] != 0) return true;
-  }
-  return false;
-}
+CacheCounterSnapshot cache_counters_snapshot() { return cache_cells().load(); }
 
-CacheCounterSnapshot CacheCounterSnapshot::since(const CacheCounterSnapshot& earlier) const {
-  CacheCounterSnapshot delta;
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    delta.counts[e] = counts[e] >= earlier.counts[e] ? counts[e] - earlier.counts[e] : 0;
-  }
-  return delta;
-}
-
-CacheCounterSnapshot cache_counters_snapshot() {
-  if (const CounterDomain* domain = current_counter_domain()) return domain->cache_counters();
-  CacheCounterSnapshot snap;
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    snap.counts[e] = g_cache_counts[e].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
-void cache_counters_reset() {
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->reset_cache_counters();
-    return;
-  }
-  for (auto& c : g_cache_counts) c.store(0, std::memory_order_relaxed);
-}
-
-namespace {
-std::atomic<std::uint64_t> g_kernel_counts[kObsKernelPathCount] = {};
-}  // namespace
+void cache_counters_reset() { cache_cells().reset(); }
 
 const char* to_string(ObsKernelPath path) {
   switch (path) {
@@ -261,44 +243,11 @@ const char* to_string(ObsKernelPath path) {
 }
 
 void kernel_counter_add(ObsKernelPath path, std::uint64_t n) {
-  if (n == 0) return;
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->add_kernel(path, n);
-    return;
-  }
-  g_kernel_counts[static_cast<int>(path)].fetch_add(n, std::memory_order_relaxed);
+  if (n != 0) kernel_cells().add(path, n);
 }
 
-bool KernelCounterSnapshot::any() const {
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    if (counts[e] != 0) return true;
-  }
-  return false;
-}
+KernelCounterSnapshot kernel_counters_snapshot() { return kernel_cells().load(); }
 
-KernelCounterSnapshot KernelCounterSnapshot::since(const KernelCounterSnapshot& earlier) const {
-  KernelCounterSnapshot delta;
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    delta.counts[e] = counts[e] >= earlier.counts[e] ? counts[e] - earlier.counts[e] : 0;
-  }
-  return delta;
-}
-
-KernelCounterSnapshot kernel_counters_snapshot() {
-  if (const CounterDomain* domain = current_counter_domain()) return domain->kernel_counters();
-  KernelCounterSnapshot snap;
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    snap.counts[e] = g_kernel_counts[e].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
-void kernel_counters_reset() {
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->reset_kernel_counters();
-    return;
-  }
-  for (auto& c : g_kernel_counts) c.store(0, std::memory_order_relaxed);
-}
+void kernel_counters_reset() { kernel_cells().reset(); }
 
 }  // namespace fp8q

@@ -34,7 +34,9 @@
 // non-daemon caller) behave exactly as documented above.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 namespace fp8q {
 
@@ -97,6 +99,83 @@ struct CounterSnapshot {
 void counters_reset();
 
 // ---------------------------------------------------------------------------
+// One-dimensional counter families: the cache events and kernel paths
+// below. Each is an enum with a fixed cell count; EventCounts is its
+// snapshot and AtomicEventCounts its live cells (the process globals and
+// the CounterDomain members, obs/domain.h).
+
+/// Point-in-time copy of one 1-D counter family, indexed by enum E.
+template <typename E, int N>
+struct EventCounts {
+  using Event = E;
+  static constexpr int kCount = N;
+
+  std::uint64_t counts[N] = {};
+
+  [[nodiscard]] std::uint64_t get(E event) const { return counts[static_cast<int>(event)]; }
+  /// True if any cell is nonzero.
+  [[nodiscard]] bool any() const {
+    for (const std::uint64_t c : counts) {
+      if (c != 0) return true;
+    }
+    return false;
+  }
+  /// Cell-wise difference (per-job deltas in the fp8qd service); a cell
+  /// saturates at 0 if a reset happened in between.
+  [[nodiscard]] EventCounts since(const EventCounts& earlier) const {
+    EventCounts delta;
+    for (int e = 0; e < N; ++e) {
+      delta.counts[e] = counts[e] >= earlier.counts[e] ? counts[e] - earlier.counts[e] : 0;
+    }
+    return delta;
+  }
+
+  friend bool operator==(const EventCounts&, const EventCounts&) = default;
+};
+
+/// Calls fn(name, cell) for every cell of an EventCounts in enum order;
+/// name is the cell's stable report.json key (to_string of its enum
+/// value). Takes a const snapshot to read it or a mutable one to fill it.
+template <typename Snapshot, typename Fn>
+void for_each_event(Snapshot& snap, Fn&& fn) {
+  using Counts = std::remove_const_t<Snapshot>;
+  for (int e = 0; e < Counts::kCount; ++e) {
+    fn(to_string(static_cast<typename Counts::Event>(e)), snap.counts[e]);
+  }
+}
+
+/// The live cells of one 1-D counter family. Relaxed atomics: any number
+/// of threads may add concurrently, and a load is per-cell consistent.
+template <typename Snapshot>
+class AtomicEventCounts {
+ public:
+  void add(typename Snapshot::Event event, std::uint64_t n) {
+    cells_[static_cast<int>(event)].fetch_add(n, std::memory_order_relaxed);
+  }
+  [[nodiscard]] Snapshot load() const {
+    Snapshot snap;
+    for (int e = 0; e < Snapshot::kCount; ++e) {
+      snap.counts[e] = cells_[e].load(std::memory_order_relaxed);
+    }
+    return snap;
+  }
+  void reset() {
+    for (auto& cell : cells_) cell.store(0, std::memory_order_relaxed);
+  }
+  /// Moves every cell out (exchange with 0) and returns what it held.
+  [[nodiscard]] Snapshot take() {
+    Snapshot snap;
+    for (int e = 0; e < Snapshot::kCount; ++e) {
+      snap.counts[e] = cells_[e].exchange(0, std::memory_order_relaxed);
+    }
+    return snap;
+  }
+
+ private:
+  std::atomic<std::uint64_t> cells_[Snapshot::kCount] = {};
+};
+
+// ---------------------------------------------------------------------------
 // Cache-event counters (the quantized-weight cache, quant/weight_cache.h).
 //
 // Orders of magnitude rarer than quantization events (one per weight-quant
@@ -118,23 +197,11 @@ inline constexpr int kObsCacheEventCount = 4;
 /// Stable lowercase names used in report.json ("hit", "miss", ...).
 [[nodiscard]] const char* to_string(ObsCacheEvent event);
 
+/// Point-in-time aggregate of the cache-event counters.
+using CacheCounterSnapshot = EventCounts<ObsCacheEvent, kObsCacheEventCount>;
+
 /// Adds `n` to one cache-event cell. Thread-safe, relaxed.
 void cache_counter_add(ObsCacheEvent event, std::uint64_t n);
-
-/// Point-in-time aggregate of the cache-event counters.
-struct CacheCounterSnapshot {
-  std::uint64_t counts[kObsCacheEventCount] = {};
-
-  [[nodiscard]] std::uint64_t get(ObsCacheEvent event) const {
-    return counts[static_cast<int>(event)];
-  }
-  [[nodiscard]] bool any() const;
-  /// Cell-wise difference (per-job deltas in the fp8qd service); saturates
-  /// at 0 if a reset happened in between.
-  [[nodiscard]] CacheCounterSnapshot since(const CacheCounterSnapshot& earlier) const;
-
-  friend bool operator==(const CacheCounterSnapshot&, const CacheCounterSnapshot&) = default;
-};
 
 [[nodiscard]] CacheCounterSnapshot cache_counters_snapshot();
 
@@ -165,23 +232,11 @@ inline constexpr int kObsKernelPathCount = 7;
 /// Stable lowercase names used in report.json ("linear_packed", ...).
 [[nodiscard]] const char* to_string(ObsKernelPath path);
 
+/// Point-in-time aggregate of the kernel-path counters.
+using KernelCounterSnapshot = EventCounts<ObsKernelPath, kObsKernelPathCount>;
+
 /// Adds `n` to one kernel-path cell. Thread-safe, relaxed.
 void kernel_counter_add(ObsKernelPath path, std::uint64_t n);
-
-/// Point-in-time aggregate of the kernel-path counters.
-struct KernelCounterSnapshot {
-  std::uint64_t counts[kObsKernelPathCount] = {};
-
-  [[nodiscard]] std::uint64_t get(ObsKernelPath path) const {
-    return counts[static_cast<int>(path)];
-  }
-  [[nodiscard]] bool any() const;
-  /// Cell-wise difference (per-job deltas in the fp8qd service); saturates
-  /// at 0 if a reset happened in between.
-  [[nodiscard]] KernelCounterSnapshot since(const KernelCounterSnapshot& earlier) const;
-
-  friend bool operator==(const KernelCounterSnapshot&, const KernelCounterSnapshot&) = default;
-};
 
 [[nodiscard]] KernelCounterSnapshot kernel_counters_snapshot();
 

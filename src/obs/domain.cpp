@@ -3,20 +3,25 @@
 namespace fp8q {
 
 namespace {
+
 thread_local CounterDomain* tls_domain = nullptr;
+
+/// Moves one 1-D family's cells out and re-emits each nonzero cell through
+/// its routed add function (see fold_into_global).
+template <typename Snapshot>
+void fold_cells(AtomicEventCounts<Snapshot>& cells,
+                void (*add)(typename Snapshot::Event, std::uint64_t)) {
+  const Snapshot taken = cells.take();
+  for (int e = 0; e < Snapshot::kCount; ++e) {
+    if (taken.counts[e] != 0) add(static_cast<typename Snapshot::Event>(e), taken.counts[e]);
+  }
+}
+
 }  // namespace
 
 void CounterDomain::add(ObsFormat fmt, ObsEvent event, std::uint64_t n) {
   counts_[static_cast<int>(fmt)][static_cast<int>(event)].fetch_add(
       n, std::memory_order_relaxed);
-}
-
-void CounterDomain::add_cache(ObsCacheEvent event, std::uint64_t n) {
-  cache_counts_[static_cast<int>(event)].fetch_add(n, std::memory_order_relaxed);
-}
-
-void CounterDomain::add_kernel(ObsKernelPath path, std::uint64_t n) {
-  kernel_counts_[static_cast<int>(path)].fetch_add(n, std::memory_order_relaxed);
 }
 
 void CounterDomain::merge_histogram(HistChannel channel, const HistogramSnapshot& snap) {
@@ -35,22 +40,6 @@ CounterSnapshot CounterDomain::counters() const {
   return snap;
 }
 
-CacheCounterSnapshot CounterDomain::cache_counters() const {
-  CacheCounterSnapshot snap;
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    snap.counts[e] = cache_counts_[e].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
-KernelCounterSnapshot CounterDomain::kernel_counters() const {
-  KernelCounterSnapshot snap;
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    snap.counts[e] = kernel_counts_[e].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
 HistogramSnapshot CounterDomain::histogram(HistChannel channel) const {
   std::lock_guard<std::mutex> lock(hist_mutex_);
   return hist_channels_[static_cast<int>(channel)];
@@ -62,14 +51,6 @@ void CounterDomain::reset_counters() {
   }
 }
 
-void CounterDomain::reset_cache_counters() {
-  for (auto& cell : cache_counts_) cell.store(0, std::memory_order_relaxed);
-}
-
-void CounterDomain::reset_kernel_counters() {
-  for (auto& cell : kernel_counts_) cell.store(0, std::memory_order_relaxed);
-}
-
 void CounterDomain::reset_histograms() {
   std::lock_guard<std::mutex> lock(hist_mutex_);
   for (auto& channel : hist_channels_) channel = HistogramSnapshot{};
@@ -77,8 +58,8 @@ void CounterDomain::reset_histograms() {
 
 void CounterDomain::reset() {
   reset_counters();
-  reset_cache_counters();
-  reset_kernel_counters();
+  cache_counts_.reset();
+  kernel_counts_.reset();
   reset_histograms();
   alloc_sink_.reset();
 }
@@ -94,14 +75,8 @@ void CounterDomain::fold_into_global() {
       if (n != 0) counter_add(static_cast<ObsFormat>(f), static_cast<ObsEvent>(e), n);
     }
   }
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    const std::uint64_t n = cache_counts_[e].exchange(0, std::memory_order_relaxed);
-    if (n != 0) cache_counter_add(static_cast<ObsCacheEvent>(e), n);
-  }
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    const std::uint64_t n = kernel_counts_[e].exchange(0, std::memory_order_relaxed);
-    if (n != 0) kernel_counter_add(static_cast<ObsKernelPath>(e), n);
-  }
+  fold_cells(cache_counts_, cache_counter_add);
+  fold_cells(kernel_counts_, kernel_counter_add);
   HistogramSnapshot hists[kHistChannelCount];
   {
     std::lock_guard<std::mutex> lock(hist_mutex_);

@@ -55,23 +55,25 @@ class CounterDomain {
 
   // -- write primitives (called by the obs routing layer, not directly) --
   void add(ObsFormat fmt, ObsEvent event, std::uint64_t n);
-  void add_cache(ObsCacheEvent event, std::uint64_t n);
-  void add_kernel(ObsKernelPath path, std::uint64_t n);
   void merge_histogram(HistChannel channel, const HistogramSnapshot& snap);
   [[nodiscard]] AllocSink& alloc_sink() { return alloc_sink_; }
+  /// The 1-D counter families' cells; cache_counter_add / _snapshot /
+  /// _reset (and the kernel-path trio) act on these when bound.
+  [[nodiscard]] AtomicEventCounts<CacheCounterSnapshot>& cache_cells() { return cache_counts_; }
+  [[nodiscard]] AtomicEventCounts<KernelCounterSnapshot>& kernel_cells() {
+    return kernel_counts_;
+  }
 
   // -- the domain's view (what the snapshot functions return when bound) --
   [[nodiscard]] CounterSnapshot counters() const;
-  [[nodiscard]] CacheCounterSnapshot cache_counters() const;
-  [[nodiscard]] KernelCounterSnapshot kernel_counters() const;
+  [[nodiscard]] CacheCounterSnapshot cache_counters() const { return cache_counts_.load(); }
+  [[nodiscard]] KernelCounterSnapshot kernel_counters() const { return kernel_counts_.load(); }
   [[nodiscard]] AllocCounterSnapshot alloc_counters() const { return alloc_sink_.snapshot(); }
   [[nodiscard]] HistogramSnapshot histogram(HistChannel channel) const;
 
   /// Zeroes one counter family (the reset functions route here when a
   /// domain is bound) or everything.
   void reset_counters();
-  void reset_cache_counters();
-  void reset_kernel_counters();
   void reset_histograms();
   void reset();
 
@@ -86,8 +88,8 @@ class CounterDomain {
 
  private:
   std::atomic<std::uint64_t> counts_[kObsFormatCount][kObsEventCount] = {};
-  std::atomic<std::uint64_t> cache_counts_[kObsCacheEventCount] = {};
-  std::atomic<std::uint64_t> kernel_counts_[kObsKernelPathCount] = {};
+  AtomicEventCounts<CacheCounterSnapshot> cache_counts_;
+  AtomicEventCounts<KernelCounterSnapshot> kernel_counts_;
   AllocSink alloc_sink_;
   mutable std::mutex hist_mutex_;
   HistogramSnapshot hist_channels_[kHistChannelCount] FP8Q_GUARDED_BY(hist_mutex_);

@@ -71,6 +71,18 @@ void write_counters(std::ostream& out, const CounterSnapshot& snap,
   out << "\n" << indent << "}";
 }
 
+/// One 1-D counter family as a flat object: {"hit": 3, "miss": 1, ...}.
+template <typename Snapshot>
+void write_event_counts(std::ostream& out, const Snapshot& snap) {
+  const char* sep = "";
+  out << "{";
+  for_each_event(snap, [&](const char* name, std::uint64_t n) {
+    out << sep << '"' << name << "\": " << n;
+    sep = ", ";
+  });
+  out << "}";
+}
+
 /// One histogram: headline stats (count/min/max/p50/p95/p99, derived --
 /// recomputed on read) plus the sparse bucket list [[index, count], ...]
 /// that round-trips the distribution exactly.
@@ -146,19 +158,11 @@ void RunReport::write_json(std::ostream& out) const {
   write_counters(out, counters, "  ");
   out << ",\n";
 
-  out << "  \"weight_cache\": {";
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    out << (e == 0 ? "" : ", ") << '"' << to_string(static_cast<ObsCacheEvent>(e))
-        << "\": " << weight_cache.counts[e];
-  }
-  out << "},\n";
-
-  out << "  \"kernel_paths\": {";
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    out << (e == 0 ? "" : ", ") << '"' << to_string(static_cast<ObsKernelPath>(e))
-        << "\": " << kernel_paths.counts[e];
-  }
-  out << "},\n";
+  out << "  \"weight_cache\": ";
+  write_event_counts(out, weight_cache);
+  out << ",\n  \"kernel_paths\": ";
+  write_event_counts(out, kernel_paths);
+  out << ",\n";
 
   out << "  \"memory\": {\"peak_rss_bytes\": " << memory.peak_rss_bytes
       << ", \"alloc_bytes\": " << memory.alloc_bytes << ", \"allocs\": " << memory.allocs

@@ -90,7 +90,7 @@ TEST(PackedFp8Decode, TableMatchesReferenceDecodeForAllCodes) {
 }
 
 TEST(PackedFp8Decode, ArithmeticDecodeMatchesTableForAllCodes) {
-  // fp8_decode_bits is the batched/native tiers' decoder: exhaustive
+  // fp8_decode_bits is the native tier's decoder: exhaustive
   // bit-equality against the LUT is the cross-tier exactness anchor
   // (docs/KERNELS.md).
   for (Fp8Kind kind : kAllFp8Kinds) {

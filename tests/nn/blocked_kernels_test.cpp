@@ -122,7 +122,7 @@ Tensor naive_conv(const Tensor& x, const Tensor& weight, const Tensor& bias, int
 void expect_conv_matches_on_every_tier(Conv2dOp& op, const Tensor& x, const Tensor& ref,
                                        const std::string& what) {
   DispatchGuard guard;
-  for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative}) {
+  for (IsaTier tier : {IsaTier::kScalar, IsaTier::kNative}) {
     for (int threads : {1, 4}) {
       set_isa_tier(tier);
       set_num_threads(threads);

@@ -86,13 +86,11 @@ TEST(PackedKernels, DecodeMulAgreesAcrossTiersForAllCodes) {
     std::vector<float> ref(256);
     packed_kernels(IsaTier::kScalar).decode_mul(codes.data(), 0.375f, ref.data(), 256,
                                                 kind);
-    for (IsaTier tier : {IsaTier::kBatched, IsaTier::kNative}) {
-      std::vector<float> out(256);
-      packed_kernels(tier).decode_mul(codes.data(), 0.375f, out.data(), 256, kind);
-      for (int i = 0; i < 256; ++i) {
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]), std::bit_cast<std::uint32_t>(ref[i]))
-            << to_string(kind) << " tier " << to_string(tier) << " code " << i;
-      }
+    std::vector<float> out(256);
+    packed_kernels(IsaTier::kNative).decode_mul(codes.data(), 0.375f, out.data(), 256, kind);
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]), std::bit_cast<std::uint32_t>(ref[i]))
+          << to_string(kind) << " code " << i;
     }
   }
 }
@@ -114,7 +112,7 @@ TEST(PackedGemm, AllTiersAndThreadCountsMatchTheScalarReference) {
       set_isa_tier(IsaTier::kScalar);
       const Tensor ref = packed_matmul(x, w);
 
-      for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative}) {
+      for (IsaTier tier : {IsaTier::kScalar, IsaTier::kNative}) {
         for (int threads : {1, 4, 8}) {
           set_num_threads(threads);
           set_isa_tier(tier);
@@ -136,21 +134,19 @@ TEST(PackedGemm, BiasFlowsThroughEveryTier) {
   set_num_threads(1);
   set_isa_tier(IsaTier::kScalar);
   packed_gemm_forward(x.flat().data(), w, bias.flat().data(), ref.flat().data(), 6);
-  for (IsaTier tier : {IsaTier::kBatched, IsaTier::kNative}) {
-    for (int threads : {1, 8}) {
-      set_num_threads(threads);
-      set_isa_tier(tier);
-      Tensor y({6, 9});
-      packed_gemm_forward(x.flat().data(), w, bias.flat().data(), y.flat().data(), 6);
-      expect_bitwise_equal(y, ref, to_string(tier));
-    }
+  set_isa_tier(IsaTier::kNative);
+  for (int threads : {1, 8}) {
+    set_num_threads(threads);
+    Tensor y({6, 9});
+    packed_gemm_forward(x.flat().data(), w, bias.flat().data(), y.flat().data(), 6);
+    expect_bitwise_equal(y, ref, to_string(isa_tier()));
   }
 }
 
 TEST(PackedGemm, MatchesUnpackThenMatMulBitForBit) {
   // The equivalence the bench baseline measures: packed_matmul must equal
-  // dequantize-to-FP32 + MatMulOp with transpose_b exactly, so switching
-  // FP8Q_PACKED is a performance knob, never a numerics change.
+  // dequantize-to-FP32 + MatMulOp with transpose_b exactly, so packed
+  // compute is a performance choice, never a numerics change.
   DispatchGuard guard;
   for (Fp8Kind kind : kAllFp8Kinds) {
     Rng rng(23);
@@ -163,7 +159,7 @@ TEST(PackedGemm, MatchesUnpackThenMatMulBitForBit) {
     const std::vector<Tensor> inputs = {x, packed.unpack()};
     const Tensor ref = op.forward(inputs);
 
-    for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative}) {
+    for (IsaTier tier : {IsaTier::kScalar, IsaTier::kNative}) {
       set_isa_tier(tier);
       expect_bitwise_equal(packed_matmul(x, w), ref, to_string(kind));
     }
@@ -192,7 +188,7 @@ TEST(PackedConv, MatchesFp32ConvOnTheFakeQuantizedWeight) {
         set_num_threads(1);
         set_isa_tier(IsaTier::kScalar);
         const Tensor ref = fp32.forward({&x, 1});
-        for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative}) {
+        for (IsaTier tier : {IsaTier::kScalar, IsaTier::kNative}) {
           for (int threads : {1, 4}) {
             set_num_threads(threads);
             set_isa_tier(tier);
@@ -248,8 +244,13 @@ TEST(PackedGemm, NativeTierClampsWhenUnavailable) {
   if (isa_native_available()) {
     EXPECT_EQ(isa_tier(), IsaTier::kNative);
   } else {
-    EXPECT_EQ(isa_tier(), IsaTier::kBatched);
+    EXPECT_EQ(isa_tier(), IsaTier::kScalar);
   }
+}
+
+TEST(PackedKernels, NativeTableIsTheScalarTableExactlyWithoutANativePath) {
+  EXPECT_EQ(&packed_kernels(IsaTier::kNative) == &packed_kernels(IsaTier::kScalar),
+            !isa_native_available());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "fp8/convert.h"
 #include "fp8/int8.h"
 #include "obs/counters.h"
+#include "obs/domain.h"
 
 namespace fp8q {
 namespace {
@@ -185,6 +186,87 @@ TEST(KernelCounters, PathNamesAreStable) {
   EXPECT_STREQ(to_string(ObsKernelPath::kMatmulPacked), "matmul_packed");
   EXPECT_STREQ(to_string(ObsKernelPath::kMatmulFp32), "matmul_fp32");
   EXPECT_STREQ(to_string(ObsKernelPath::kCacheDecode), "cache_decode");
+}
+
+// --- The 1-D families (cache events, kernel paths): one EventCounts type --
+
+/// One family's public entry points, so a typed test covers both.
+struct CacheFamily {
+  using Snapshot = CacheCounterSnapshot;
+  static void add(ObsCacheEvent event, std::uint64_t n) { cache_counter_add(event, n); }
+  static Snapshot snapshot() { return cache_counters_snapshot(); }
+  static void reset() { cache_counters_reset(); }
+};
+
+struct KernelFamily {
+  using Snapshot = KernelCounterSnapshot;
+  static void add(ObsKernelPath path, std::uint64_t n) { kernel_counter_add(path, n); }
+  static Snapshot snapshot() { return kernel_counters_snapshot(); }
+  static void reset() { kernel_counters_reset(); }
+};
+
+template <typename Family>
+class EventCountFamily : public ::testing::Test {
+ protected:
+  void SetUp() override { Family::reset(); }
+  void TearDown() override { Family::reset(); }
+};
+
+using Families = ::testing::Types<CacheFamily, KernelFamily>;
+TYPED_TEST_SUITE(EventCountFamily, Families);
+
+TYPED_TEST(EventCountFamily, SinceSaturatesPerCellAfterAReset) {
+  using Snapshot = typename TypeParam::Snapshot;
+  using Event = typename Snapshot::Event;
+  for (int e = 0; e < Snapshot::kCount; ++e) {
+    TypeParam::add(static_cast<Event>(e), 10 + static_cast<std::uint64_t>(e));
+  }
+  const Snapshot before = TypeParam::snapshot();
+  TypeParam::reset();
+  TypeParam::add(static_cast<Event>(0), 25);  // regrew past its old 10
+  TypeParam::add(static_cast<Event>(1), 3);   // still below its old 11
+  const Snapshot delta = TypeParam::snapshot().since(before);
+  EXPECT_EQ(delta.counts[0], 15u);
+  for (int e = 1; e < Snapshot::kCount; ++e) EXPECT_EQ(delta.counts[e], 0u) << e;
+}
+
+TYPED_TEST(EventCountFamily, AnyAndEqualityLookAtEveryCell) {
+  using Snapshot = typename TypeParam::Snapshot;
+  const Snapshot zero;
+  EXPECT_FALSE(zero.any());
+  EXPECT_TRUE(zero == Snapshot{});
+  for (int e = 0; e < Snapshot::kCount; ++e) {
+    Snapshot one;
+    one.counts[e] = 1;
+    EXPECT_TRUE(one.any()) << e;
+    EXPECT_FALSE(one == zero) << e;
+    EXPECT_EQ(one.get(static_cast<typename Snapshot::Event>(e)), 1u) << e;
+  }
+}
+
+TYPED_TEST(EventCountFamily, DomainFoldConservesEveryCell) {
+  using Snapshot = typename TypeParam::Snapshot;
+  using Event = typename Snapshot::Event;
+  for (int e = 0; e < Snapshot::kCount; ++e) {
+    TypeParam::add(static_cast<Event>(e), 100 + static_cast<std::uint64_t>(e));
+  }
+  const Snapshot global_before = TypeParam::snapshot();
+  CounterDomain domain;
+  {
+    ScopedCounterDomain bind(&domain);
+    EXPECT_FALSE(TypeParam::snapshot().any());  // the domain's view, not the globals
+    for (int e = 0; e < Snapshot::kCount; ++e) {
+      TypeParam::add(static_cast<Event>(e), 1 + static_cast<std::uint64_t>(e));
+    }
+  }
+  EXPECT_TRUE(TypeParam::snapshot() == global_before);  // isolated until the fold
+  domain.fold_into_global();
+  const Snapshot delta = TypeParam::snapshot().since(global_before);
+  for (int e = 0; e < Snapshot::kCount; ++e) {
+    EXPECT_EQ(delta.counts[e], 1u + static_cast<std::uint64_t>(e)) << e;
+  }
+  ScopedCounterDomain bind(&domain);
+  EXPECT_FALSE(TypeParam::snapshot().any());  // moved out, not copied
 }
 
 }  // namespace

@@ -29,8 +29,10 @@ RunReport sample_report() {
   r.tool = "unit-test";
   r.num_threads = 3;
   r.isa = "native:avx2";
-  r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kLinearPacked)] = 17;
-  r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kCacheDecode)] = 4;
+  // A distinct nonzero value in every cell of both 1-D families, so an
+  // index mix-up in the shared writer or reader cannot round-trip.
+  for (int e = 0; e < kObsCacheEventCount; ++e) r.weight_cache.counts[e] = 11 + e;
+  for (int e = 0; e < kObsKernelPathCount; ++e) r.kernel_paths.counts[e] = 21 + e;
 
   StageReport stage;
   stage.name = "phase \"one\"\nwith newline";  // exercises escaping
@@ -71,6 +73,7 @@ TEST(Report, JsonRoundTripsThroughSerializeReader) {
   EXPECT_EQ(parsed.tool, original.tool);
   EXPECT_EQ(parsed.num_threads, original.num_threads);
   EXPECT_EQ(parsed.isa, original.isa);
+  EXPECT_TRUE(parsed.weight_cache == original.weight_cache);
   EXPECT_TRUE(parsed.kernel_paths == original.kernel_paths);
   EXPECT_TRUE(parsed.counters == original.counters);
   EXPECT_EQ(parsed.spans_dropped, original.spans_dropped);
@@ -104,7 +107,6 @@ TEST(Report, V3MemoryHistogramAndStageAllocBlocksRoundTrip) {
   original.memory.peak_rss_bytes = 123456789;
   original.memory.alloc_bytes = 777;
   original.memory.allocs = 9;
-  original.weight_cache.counts[static_cast<int>(ObsCacheEvent::kHit)] = 11;
 
   NamedHistogram nh;
   nh.name = "cast_mag/e4m3";

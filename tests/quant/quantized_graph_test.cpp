@@ -394,7 +394,7 @@ TEST(QuantizedGraph, QuantizedComputeFraction) {
 }
 
 TEST(QuantizedGraph, PackedComputeIsBitIdenticalToDequantizedPath) {
-  // FP8Q_PACKED is a performance switch, never a numerics switch
+  // Packed compute is a performance choice, never a numerics switch
   // (docs/KERNELS.md): the packed kernels must reproduce the
   // dequantize-to-FP32 forward bit for bit, on MLPs and CNNs alike.
   struct PackedToggleGuard {

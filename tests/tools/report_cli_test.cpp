@@ -174,6 +174,25 @@ TEST(ReportFormat, RendersEverySection) {
   EXPECT_NE(text.find("peak_rss=100.0 MiB"), std::string::npos);
 }
 
+TEST(ReportFormat, ShowsTheDispatchTierAndKernelPaths) {
+  RunReport r = sample_report();
+  EXPECT_NE(report_cli::format_report(r).find("isa=(unset)"), std::string::npos);
+  EXPECT_EQ(report_cli::format_report(r).find("kernel_paths:"), std::string::npos);
+
+  r.isa = "native:avx2";
+  r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kLinearPacked)] = 6;
+  r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kMatmulFp32)] = 2;
+  r.weight_cache.counts[static_cast<int>(ObsCacheEvent::kMiss)] = 3;
+  const std::string text = report_cli::format_report(r);
+  EXPECT_NE(text.find("isa=native:avx2"), std::string::npos) << text;
+  EXPECT_NE(text.find("kernel_paths:  linear_packed=6  linear_fp32=0  conv_packed=0  "
+                      "conv_fp32=0  matmul_packed=0  matmul_fp32=2  cache_decode=0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("weight_cache:  hit=0  miss=3  evict=0  bypass=0\n"), std::string::npos)
+      << text;
+}
+
 TEST(TraceValidate, AcceptsTheExportersOutput) {
   std::vector<SpanRecord> spans;
   SpanRecord parent;

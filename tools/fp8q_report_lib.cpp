@@ -51,6 +51,15 @@ void print_counters(std::ostream& os, const CounterSnapshot& snap, const char* i
   }
 }
 
+/// "label:  name=n  name=n ...\n" for a 1-D counter family with data.
+template <typename Snapshot>
+void print_event_counts(std::ostream& os, const char* label, const Snapshot& snap) {
+  if (!snap.any()) return;
+  os << label << ":";
+  for_each_event(snap, [&](const char* name, std::uint64_t n) { os << "  " << name << "=" << n; });
+  os << "\n";
+}
+
 /// Percent growth of candidate over base; +inf when base is 0 and the
 /// candidate is not.
 double growth_pct(double base, double candidate) {
@@ -84,7 +93,8 @@ std::string pct(double v) {
 std::string format_report(const RunReport& report) {
   std::ostringstream os;
   os << "report: tool=" << (report.tool.empty() ? "(unset)" : report.tool)
-     << " threads=" << report.num_threads << "\n";
+     << " threads=" << report.num_threads
+     << " isa=" << (report.isa.empty() ? "(unset)" : report.isa) << "\n";
 
   os << "memory: peak_rss=" << human_bytes(report.memory.peak_rss_bytes)
      << " tensor_alloc=" << human_bytes(report.memory.alloc_bytes) << " ("
@@ -105,20 +115,8 @@ std::string format_report(const RunReport& report) {
     print_counters(os, report.counters, "  ");
   }
 
-  {
-    bool any = false;
-    for (int e = 0; e < kObsCacheEventCount; ++e) {
-      any = any || report.weight_cache.counts[e] != 0;
-    }
-    if (any) {
-      os << "weight_cache:";
-      for (int e = 0; e < kObsCacheEventCount; ++e) {
-        os << "  " << to_string(static_cast<ObsCacheEvent>(e)) << "="
-           << report.weight_cache.counts[e];
-      }
-      os << "\n";
-    }
-  }
+  print_event_counts(os, "weight_cache", report.weight_cache);
+  print_event_counts(os, "kernel_paths", report.kernel_paths);
 
   if (!report.histograms.empty()) {
     os << "histograms (" << report.histograms.size() << "):\n";
