@@ -151,7 +151,7 @@ class ThreadPool {
       }
       if (fn) {
         // Adopt the dispatcher's obs context for this region: its domain
-        // (or nullptr = global routing) and its report binding.
+        // (or nullptr = root routing) and its report binding.
         ScopedCounterDomain domain_scope(domain);
         const ThreadReportBinding prev = set_thread_report(report);
         drain(n, *fn);

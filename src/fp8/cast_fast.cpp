@@ -138,7 +138,7 @@ void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
   if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
   const auto n = static_cast<std::int64_t>(in.size() < out.size() ? in.size() : out.size());
   // Event counting is decided once per bulk call (not per element); tallies
-  // are folded into the sharded counters once per chunk, and the batch
+  // are folded into the event counters once per chunk, and the batch
   // kernel computes them in a separate pass so outputs are bit-identical
   // with counters on or off.
   const bool counted = counters_enabled();

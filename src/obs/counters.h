@@ -14,24 +14,25 @@
 //                   not counted
 //   kInfProduced    Inf output from a finite input (kInfinityNan, E5M2)
 //
-// Design: counters are sharded per thread. counter_add() touches only the
-// calling thread's shard (a relaxed atomic add, no cross-thread cache-line
-// contention on the hot path), and counters_snapshot() aggregates every
-// live shard plus the totals of already-exited threads. This is compatible
-// with the docs/THREADING.md determinism contract: counting never changes
-// a computed value, and aggregated totals are identical at every thread
-// count (per-shard split differs, the sum does not).
+// Design: counters live in an observation domain (obs/domain.h). Every
+// primitive here acts on the calling thread's bound domain, else the
+// process's root domain: counter_add is one relaxed atomic add on a cell
+// the domain's threads share, and counters_snapshot() reads the cells.
+// Totals include threads that have since exited, and are compatible with
+// the docs/THREADING.md determinism contract: counting never changes a
+// computed value, and the totals are identical at every thread count
+// (which thread added what differs, the sum does not). Callers add once
+// per chunk, not per element, so threads rarely meet on a cell.
 //
 // Cost when disabled: instrumented sites check counters_enabled() once per
 // *bulk call* (one relaxed atomic load), never per element, and run their
 // original uninstrumented loops. Enable with FP8Q_TRACE=1, by setting
 // FP8Q_REPORT, or programmatically via set_counters_enabled(true).
 //
-// Scoped routing: a thread bound to a CounterDomain (obs/domain.h,
-// ScopedCounterDomain) redirects every add/snapshot/reset in this header
-// to that domain instead of the shards/globals -- how fp8qd isolates one
-// job's events under concurrent execution. Unbound threads (every
-// non-daemon caller) behave exactly as documented above.
+// Scoped routing: a thread bound to a CounterDomain (ScopedCounterDomain)
+// adds to and reads that domain instead of the root -- how fp8qd isolates
+// one job's events under concurrent execution. Unbound threads (every
+// non-daemon caller) share the root.
 #pragma once
 
 #include <atomic>
@@ -67,12 +68,12 @@ inline constexpr int kObsEventCount = 5;
 /// Programmatic override of the environment default (tests, embedders).
 void set_counters_enabled(bool enabled);
 
-/// Adds `n` to one cell of the calling thread's shard. Thread-safe and
+/// Adds `n` to one cell of the calling thread's domain. Thread-safe and
 /// wait-free against other writers; callers batch per-chunk local tallies
 /// into one add rather than incrementing per element.
 void counter_add(ObsFormat fmt, ObsEvent event, std::uint64_t n);
 
-/// Point-in-time aggregate of all shards (live threads + exited threads).
+/// Point-in-time copy of the counter matrix.
 struct CounterSnapshot {
   std::uint64_t counts[kObsFormatCount][kObsEventCount] = {};
 
@@ -90,19 +91,20 @@ struct CounterSnapshot {
   friend bool operator==(const CounterSnapshot&, const CounterSnapshot&);
 };
 
-/// Aggregates every shard. Safe to call concurrently with counter_add;
-/// concurrent adds may or may not be included (each cell is internally
-/// consistent, the snapshot is not a cross-cell atomic cut).
+/// Reads the calling thread's domain. Safe to call concurrently with
+/// counter_add; concurrent adds may or may not be included (each cell is
+/// internally consistent, the snapshot is not a cross-cell atomic cut).
 [[nodiscard]] CounterSnapshot counters_snapshot();
 
-/// Zeroes every shard. Call only while no instrumented work is running.
+/// Zeroes the calling thread's domain's matrix. Call only while no
+/// instrumented work is running.
 void counters_reset();
 
 // ---------------------------------------------------------------------------
 // One-dimensional counter families: the cache events and kernel paths
 // below. Each is an enum with a fixed cell count; EventCounts is its
-// snapshot and AtomicEventCounts its live cells (the process globals and
-// the CounterDomain members, obs/domain.h).
+// snapshot and AtomicEventCounts its live cells (CounterDomain members,
+// obs/domain.h).
 
 /// Point-in-time copy of one 1-D counter family, indexed by enum E.
 template <typename E, int N>
@@ -179,10 +181,10 @@ class AtomicEventCounts {
 // Cache-event counters (the quantized-weight cache, quant/weight_cache.h).
 //
 // Orders of magnitude rarer than quantization events (one per weight-quant
-// call, not per element), so these are plain process-global atomics rather
-// than per-thread shards, and they are always on -- the cache mirrors its
-// internal stats here unconditionally so a report written after the fact
-// still sees them. Kept obs-local so the cache's owner (quant/) stays above
+// call, not per element), and always on -- the cache mirrors its internal
+// stats here unconditionally so a report written after the fact still
+// sees them. Routed like the format counters: the bound domain, else the
+// root. Kept obs-local so the cache's owner (quant/) stays above
 // obs/ in the link order, same as the format counters.
 
 /// What happened to one cache lookup.
@@ -215,7 +217,7 @@ void cache_counters_reset();
 // packed 8-bit weight codes or fell back to the dequantized FP32 path, so
 // a run report shows at a glance how much of the graph the packed kernels
 // actually covered. One event per op forward -- rare like cache events --
-// so these are the same always-on process-global atomics.
+// so these are always on and routed the same way.
 
 /// Which compute path one op forward (or cache decode) took.
 enum class ObsKernelPath : std::uint8_t {

@@ -1,19 +1,42 @@
 #include "obs/domain.h"
 
+#include <utility>
+
 namespace fp8q {
 
 namespace {
 
 thread_local CounterDomain* tls_domain = nullptr;
 
-/// Moves one 1-D family's cells out and re-emits each nonzero cell through
-/// its routed add function (see fold_into_global).
+/// Holds the root domain in static storage and never destroys it (a union
+/// member's destructor does not run), so threads that still count during
+/// static destruction -- pool workers being joined -- find it alive.
+/// Static rather than heap storage: a lazily heap-allocated root (~80 KiB
+/// of histogram channels) measurably slowed the allocation-heavy model
+/// builds that follow it.
+union RootDomain {
+  constexpr RootDomain() : domain() {}
+  ~RootDomain() {}
+  CounterDomain domain;
+};
+
+constinit RootDomain g_root;
+
+/// Binds `domain` to the calling thread (nullptr restores root routing)
+/// and returns the previous binding.
+CounterDomain* set_thread_counter_domain(CounterDomain* domain) {
+  CounterDomain* previous = tls_domain;
+  tls_domain = domain;
+  return previous;
+}
+
+/// Moves one 1-D family's cells out and adds each nonzero cell to `into`
+/// (see fold_into_global).
 template <typename Snapshot>
-void fold_cells(AtomicEventCounts<Snapshot>& cells,
-                void (*add)(typename Snapshot::Event, std::uint64_t)) {
+void fold_cells(AtomicEventCounts<Snapshot>& cells, AtomicEventCounts<Snapshot>& into) {
   const Snapshot taken = cells.take();
   for (int e = 0; e < Snapshot::kCount; ++e) {
-    if (taken.counts[e] != 0) add(static_cast<typename Snapshot::Event>(e), taken.counts[e]);
+    if (taken.counts[e] != 0) into.add(static_cast<typename Snapshot::Event>(e), taken.counts[e]);
   }
 }
 
@@ -56,53 +79,35 @@ void CounterDomain::reset_histograms() {
   for (auto& channel : hist_channels_) channel = HistogramSnapshot{};
 }
 
-void CounterDomain::reset() {
-  reset_counters();
-  cache_counts_.reset();
-  kernel_counts_.reset();
-  reset_histograms();
-  alloc_sink_.reset();
-}
-
 void CounterDomain::fold_into_global() {
-  // Each tally is *moved* (exchange/swap with zero), then re-emitted
-  // through the ordinary write primitives so the fold lands wherever the
-  // calling thread currently routes -- an enclosing domain when domains
-  // nest, else the process globals.
+  // Each tally is *moved* (exchange/swap with zero) before it is added to
+  // the enclosing domain, so folding a domain into itself is a no-op.
+  CounterDomain& into = active_counter_domain();
   for (int f = 0; f < kObsFormatCount; ++f) {
     for (int e = 0; e < kObsEventCount; ++e) {
       const std::uint64_t n = counts_[f][e].exchange(0, std::memory_order_relaxed);
-      if (n != 0) counter_add(static_cast<ObsFormat>(f), static_cast<ObsEvent>(e), n);
+      if (n != 0) into.add(static_cast<ObsFormat>(f), static_cast<ObsEvent>(e), n);
     }
   }
-  fold_cells(cache_counts_, cache_counter_add);
-  fold_cells(kernel_counts_, kernel_counter_add);
-  HistogramSnapshot hists[kHistChannelCount];
-  {
-    std::lock_guard<std::mutex> lock(hist_mutex_);
-    for (int c = 0; c < kHistChannelCount; ++c) {
-      hists[c] = hist_channels_[c];
-      hist_channels_[c] = HistogramSnapshot{};
-    }
-  }
+  fold_cells(cache_counts_, into.cache_counts_);
+  fold_cells(kernel_counts_, into.kernel_counts_);
   for (int c = 0; c < kHistChannelCount; ++c) {
-    if (hists[c].total == 0) continue;
-    LocalHistogram local;
-    local.snap = hists[c];
-    hist_merge(static_cast<HistChannel>(c), local);
+    HistogramSnapshot taken;
+    {
+      std::lock_guard<std::mutex> lock(hist_mutex_);
+      std::swap(taken, hist_channels_[c]);
+    }
+    into.merge_histogram(static_cast<HistChannel>(c), taken);
   }
-  AllocCounterSnapshot allocs;
-  allocs.bytes = alloc_sink_.bytes.exchange(0, std::memory_order_relaxed);
-  allocs.allocs = alloc_sink_.allocs.exchange(0, std::memory_order_relaxed);
-  alloc_counter_merge(allocs);
+  // The enclosing allocation sink: the bound one, else obs/memory's root.
+  alloc_counter_merge(alloc_sink_.take());
 }
 
 CounterDomain* current_counter_domain() { return tls_domain; }
 
-CounterDomain* set_thread_counter_domain(CounterDomain* domain) {
-  CounterDomain* previous = tls_domain;
-  tls_domain = domain;
-  return previous;
+CounterDomain& active_counter_domain() {
+  if (CounterDomain* bound = tls_domain) return *bound;
+  return g_root.domain;
 }
 
 ScopedCounterDomain::ScopedCounterDomain(CounterDomain* domain)

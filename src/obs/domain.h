@@ -1,31 +1,37 @@
-// Scoped observation domains (docs/OBSERVABILITY.md, docs/THREADING.md).
+// Observation domains (docs/OBSERVABILITY.md, docs/THREADING.md).
 //
-// A CounterDomain is a private copy of the observation state one unit of
-// work accumulates: the quantization-event counter matrix, the cache- and
+// A CounterDomain holds the observation state one unit of work
+// accumulates: the quantization-event counter matrix, the cache- and
 // kernel-path counters, an allocation sink, and the fixed histogram
-// channels. A thread binds a domain with ScopedCounterDomain; while
-// bound, every obs write primitive (counter_add, cache_counter_add,
-// kernel_counter_add, hist_record, hist_merge, alloc_counter_add) lands
-// in the domain instead of the process globals, and every matching
-// snapshot function reads the domain's view. Unbound threads are
-// untouched: with no domain bound, the primitives hit the same sharded /
-// global state they always have, so non-daemon callers see no change.
+// channels. It is the only such table in the process. The process-wide
+// state is itself a domain -- a never-destroyed root that every unbound
+// thread writes to -- so each obs primitive (counter_add, cache_counter_add,
+// kernel_counter_add, hist_record, hist_merge, alloc_counter_add and
+// their snapshot/reset functions) has one body: act on the calling
+// thread's bound domain, else the root. Allocations follow the same rule
+// through the root AllocSink in obs/memory.cpp, the slice of the root
+// that sits below this layer in the link order.
 //
-// This exists for concurrent job execution in fp8qd (docs/SERVICE.md):
-// with N executor workers running jobs at once, "global counters before
-// minus after" no longer isolates one job's events. Instead each job runs
-// under a fresh domain -- bound on the executor worker and propagated to
-// the core/parallel threads the job fans out to (core/parallel.h) -- so
-// its report-v4 counter blocks are exact deltas by construction, at any
-// worker count and any interleaving. When the job finishes,
-// fold_into_global() moves the domain's totals into the enclosing sink
-// (the caller's currently bound domain, or the process globals), so
-// cumulative process-wide totals -- the daemon's exit report, the stats
-// endpoint -- still add up as if no domain had ever been bound.
+// A thread binds a domain with ScopedCounterDomain. fp8qd does so per job
+// (docs/SERVICE.md): with N executor workers running jobs at once,
+// "process totals before minus after" no longer isolates one job's
+// events. Instead each job runs under a fresh domain -- bound on the
+// executor worker and propagated to the core/parallel threads the job
+// fans out to (core/parallel.h) -- so its report-v4 counter blocks are
+// exact deltas by construction, at any worker count and any
+// interleaving. When the job finishes, fold_into_global() merges the
+// domain's totals into the enclosing domain (the caller's bound domain,
+// else the root), so cumulative process-wide totals -- the daemon's exit
+// report, the stats endpoint -- add up as if no domain had been bound.
+//
+// Writes are relaxed atomic adds on cells shared by every thread routed
+// to the domain (histograms: one domain mutex). Totals therefore do not
+// depend on which thread recorded what, and survive the exit of the
+// threads that recorded them.
 //
 // Determinism: a domain is pure routing. It never changes a computed
 // value, and a fold preserves every count exactly (integer adds, exact
-// min/max histogram merges), so "sum over domains + globals" is invariant.
+// min/max histogram merges), so "sum over domains + root" is invariant.
 //
 // Named histograms (hist_record_named) and trace spans stay process-
 // global: both are open-ended observational telemetry keyed by name/time,
@@ -43,10 +49,11 @@
 
 namespace fp8q {
 
-/// One unit of work's private observation state. Writes are relaxed
-/// atomics (histograms: a domain-local mutex), so any number of threads
-/// bound to the same domain may record concurrently -- the fan-out of one
-/// job over the core/parallel pool.
+/// One unit of work's observation state (or, for the root, the
+/// process's). Writes are relaxed atomics (histograms: a domain-local
+/// mutex), so any number of threads routed to the same domain may record
+/// concurrently -- the fan-out of one job over the core/parallel pool, or
+/// every unbound thread writing the root.
 class CounterDomain {
  public:
   CounterDomain() = default;
@@ -56,34 +63,34 @@ class CounterDomain {
   // -- write primitives (called by the obs routing layer, not directly) --
   void add(ObsFormat fmt, ObsEvent event, std::uint64_t n);
   void merge_histogram(HistChannel channel, const HistogramSnapshot& snap);
+  /// What ScopedCounterDomain binds (obs/memory.h). Unused on the root:
+  /// unbound threads' allocations go to obs/memory's root sink.
   [[nodiscard]] AllocSink& alloc_sink() { return alloc_sink_; }
-  /// The 1-D counter families' cells; cache_counter_add / _snapshot /
-  /// _reset (and the kernel-path trio) act on these when bound.
+  /// The 1-D counter families' cells; cache_counter_add / _reset (and
+  /// the kernel-path pair) act on these.
   [[nodiscard]] AtomicEventCounts<CacheCounterSnapshot>& cache_cells() { return cache_counts_; }
   [[nodiscard]] AtomicEventCounts<KernelCounterSnapshot>& kernel_cells() {
     return kernel_counts_;
   }
 
-  // -- the domain's view (what the snapshot functions return when bound) --
+  // -- the domain's view (what the snapshot functions return) --
   [[nodiscard]] CounterSnapshot counters() const;
   [[nodiscard]] CacheCounterSnapshot cache_counters() const { return cache_counts_.load(); }
   [[nodiscard]] KernelCounterSnapshot kernel_counters() const { return kernel_counts_.load(); }
   [[nodiscard]] AllocCounterSnapshot alloc_counters() const { return alloc_sink_.snapshot(); }
   [[nodiscard]] HistogramSnapshot histogram(HistChannel channel) const;
 
-  /// Zeroes one counter family (the reset functions route here when a
-  /// domain is bound) or everything.
+  /// Zeroes the counter matrix or the histogram channels (what
+  /// counters_reset / histograms_reset call).
   void reset_counters();
   void reset_histograms();
-  void reset();
 
   /// Moves (not copies: the domain is left empty) every tally into the
-  /// calling thread's enclosing sink -- the currently bound domain when
-  /// domains nest, else the process globals. Call after the last
-  /// ScopedCounterDomain binding this domain has been destroyed; folding
-  /// while still bound routes the counts straight back (a no-op, nothing
-  /// is lost). Not safe to call while other threads still write to this
-  /// domain.
+  /// calling thread's enclosing domain -- the currently bound domain when
+  /// domains nest, else the root. Call after the last ScopedCounterDomain
+  /// binding this domain has been destroyed; folding while still bound
+  /// merges the counts straight back (a no-op, nothing is lost). Not safe
+  /// to call while other threads still write to this domain.
   void fold_into_global();
 
  private:
@@ -95,21 +102,18 @@ class CounterDomain {
   HistogramSnapshot hist_channels_[kHistChannelCount] FP8Q_GUARDED_BY(hist_mutex_);
 };
 
-/// The calling thread's bound domain, or nullptr (global routing).
+/// The calling thread's bound domain, or nullptr (routing to the root).
 [[nodiscard]] CounterDomain* current_counter_domain();
 
-/// Binds `domain` to the calling thread (nullptr restores global routing)
-/// and returns the previous binding. Prefer ScopedCounterDomain; this raw
-/// form exists for the parallel runtime, which saves/restores around each
-/// pool job when propagating the dispatching thread's obs context
-/// (core/parallel.cpp).
-CounterDomain* set_thread_counter_domain(CounterDomain* domain);
+/// The domain the calling thread's obs primitives act on: its bound
+/// domain, else the process root.
+[[nodiscard]] CounterDomain& active_counter_domain();
 
 /// RAII binding: routes this thread's obs writes (and the allocation
 /// sink, obs/memory.h) to `domain` for the scope's lifetime, restoring
 /// the previous binding -- bindings nest -- on destruction. Passing
-/// nullptr pins global routing for the scope (a job explicitly opting
-/// out of an enclosing domain).
+/// nullptr pins root routing for the scope (a job explicitly opting out
+/// of an enclosing domain).
 class ScopedCounterDomain {
  public:
   explicit ScopedCounterDomain(CounterDomain* domain);

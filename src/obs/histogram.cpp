@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <mutex>
 
 #include "core/thread_annotations.h"
@@ -15,38 +14,17 @@ namespace fp8q {
 
 namespace {
 
-/// One thread's histogram shard: every channel, guarded by one mutex.
-/// Recording locks only the owning thread's shard (uncontended in steady
-/// state); snapshots lock each shard briefly while merging. Shards are
-/// shared_ptr-held by both the registry and the owning thread, so data
-/// survives thread exit (pool resizes), mirroring obs/trace.cpp.
-struct HistShard {
+/// Open-ended named histograms (per-stage latencies): one process-global
+/// table, per-region event rate, so one mutex is fine. Leaked, so threads
+/// that record during static destruction never see it destroyed.
+struct NamedTable {
   std::mutex mutex;
-  HistogramSnapshot channels[kHistChannelCount] FP8Q_GUARDED_BY(mutex);
-};
-
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<HistShard>> shards FP8Q_GUARDED_BY(mutex);
-  /// Open-ended named histograms (per-stage latencies): global table,
-  /// per-region event rate, so one mutex is fine.
   std::map<std::string, HistogramSnapshot, std::less<>> named FP8Q_GUARDED_BY(mutex);
 };
 
-Registry& registry() {
-  static Registry* reg = new Registry();  // leaked: see obs/counters.cpp
-  return *reg;
-}
-
-HistShard& local_shard() {
-  thread_local std::shared_ptr<HistShard> shard = [] {
-    auto s = std::make_shared<HistShard>();
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.shards.push_back(s);
-    return s;
-  }();
-  return *shard;
+NamedTable& named_table() {
+  static NamedTable* table = new NamedTable();
+  return *table;
 }
 
 /// -1 = use the environment default; 0/1 = explicit override.
@@ -158,58 +136,35 @@ void set_histograms_enabled(bool enabled) {
 void hist_record(HistChannel channel, double v) {
   LocalHistogram one;
   one.record(v);
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->merge_histogram(channel, one.snap);
-    return;
-  }
-  HistShard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.channels[static_cast<int>(channel)].merge_from(one.snap);
+  active_counter_domain().merge_histogram(channel, one.snap);
 }
 
 void hist_merge(HistChannel channel, const LocalHistogram& local) {
-  if (local.snap.total == 0) return;
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->merge_histogram(channel, local.snap);
-    return;
-  }
-  HistShard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.channels[static_cast<int>(channel)].merge_from(local.snap);
+  active_counter_domain().merge_histogram(channel, local.snap);
 }
 
 void hist_record_named(std::string_view name, double v) {
   LocalHistogram one;
   one.record(v);
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  auto it = reg.named.find(name);
-  if (it == reg.named.end()) it = reg.named.emplace(std::string(name), HistogramSnapshot{}).first;
+  NamedTable& table = named_table();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  auto it = table.named.find(name);
+  if (it == table.named.end()) {
+    it = table.named.emplace(std::string(name), HistogramSnapshot{}).first;
+  }
   it->second.merge_from(one.snap);
 }
 
 HistogramSnapshot histogram_snapshot(HistChannel channel) {
-  if (const CounterDomain* domain = current_counter_domain()) return domain->histogram(channel);
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<HistShard>> shards;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    shards = reg.shards;
-  }
-  HistogramSnapshot merged;
-  for (const auto& shard : shards) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    merged.merge_from(shard->channels[static_cast<int>(channel)]);
-  }
-  return merged;
+  return active_counter_domain().histogram(channel);
 }
 
 std::vector<NamedHistogram> named_histogram_snapshot() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
+  NamedTable& table = named_table();
+  std::lock_guard<std::mutex> lock(table.mutex);
   std::vector<NamedHistogram> out;
-  out.reserve(reg.named.size());
-  for (const auto& [name, hist] : reg.named) out.push_back({name, hist});
+  out.reserve(table.named.size());
+  for (const auto& [name, hist] : table.named) out.push_back({name, hist});
   return out;  // std::map iteration is already name-sorted
 }
 
@@ -229,21 +184,12 @@ std::vector<NamedHistogram> all_histograms_snapshot() {
 }
 
 void histograms_reset() {
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->reset_histograms();
-    return;
-  }
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<HistShard>> shards;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    shards = reg.shards;
-    reg.named.clear();
-  }
-  for (const auto& shard : shards) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto& channel : shard->channels) channel = HistogramSnapshot{};
-  }
+  active_counter_domain().reset_histograms();
+  // A bound domain's reset spares the process-global named table.
+  if (current_counter_domain() != nullptr) return;
+  NamedTable& table = named_table();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  table.named.clear();
 }
 
 }  // namespace fp8q

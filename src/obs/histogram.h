@@ -27,17 +27,14 @@
 // (clamped into [min, max]), so p50/p95/p99 are exact to one bucket and
 // max is exact.
 //
-// Sharding mirrors obs/trace.cpp: each thread owns a registry-held shard
-// (kept alive by shared_ptr across pool resizes); recording locks only
-// the calling thread's shard, and snapshots merge every shard plus a
-// global named-histogram table. Channels (HistChannel) are the fixed,
-// hot instrumentation points; named histograms cover open-ended keys
-// (per-stage latencies) at map-lookup cost.
-//
-// Scoped routing: a thread bound to a CounterDomain (obs/domain.h)
-// redirects the *channel* record/merge/snapshot/reset functions to the
-// domain. The named table stays process-global -- open-ended telemetry,
-// not part of a job's deterministic result surface.
+// Storage: the channels (HistChannel, the fixed hot instrumentation
+// points) live in an observation domain (obs/domain.h) -- the calling
+// thread's bound domain, else the process's root domain. Hot loops fill a
+// stack-local LocalHistogram and merge it under the domain's mutex once
+// per chunk; samples outlive the thread that recorded them. Named
+// histograms cover open-ended keys (per-stage latencies) at map-lookup
+// cost in one process-global table that no domain captures -- open-ended
+// telemetry, not part of a job's deterministic result surface.
 #pragma once
 
 #include <bit>
@@ -75,7 +72,7 @@ inline constexpr int kHistBucketCount =
 [[nodiscard]] double hist_bucket_lower_bound(int bucket);
 
 /// A merged (or merging) histogram: integer bucket counts plus exact
-/// min/max. Also the per-thread shard cell and the JSON round-trip form.
+/// min/max. Also a domain's channel cell and the JSON round-trip form.
 struct HistogramSnapshot {
   std::uint64_t counts[kHistBucketCount] = {};
   std::uint64_t total = 0;
@@ -91,14 +88,14 @@ struct HistogramSnapshot {
   /// bucket counts.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Commutative, associative merge; the shard-fold primitive.
+  /// Commutative, associative merge; the chunk- and domain-fold primitive.
   void merge_from(const HistogramSnapshot& other);
 
   friend bool operator==(const HistogramSnapshot&, const HistogramSnapshot&) = default;
 };
 
 /// Stack-local accumulator for hot loops: record per element, fold into
-/// the shared shard once per chunk with hist_merge (one lock per chunk,
+/// the domain once per chunk with hist_merge (one lock per chunk,
 /// mirroring how CastTally folds into counter_add).
 struct LocalHistogram {
   HistogramSnapshot snap;
@@ -149,11 +146,11 @@ inline constexpr int kHistChannelCount = 10;
 [[nodiscard]] bool histograms_enabled();
 void set_histograms_enabled(bool enabled);
 
-/// Records one value into the calling thread's shard. Callers on hot
+/// Records one value into the calling thread's domain. Callers on hot
 /// loops accumulate a LocalHistogram and fold with hist_merge instead.
 void hist_record(HistChannel channel, double v);
 
-/// Folds a chunk-local accumulation into the calling thread's shard.
+/// Folds a chunk-local accumulation into the calling thread's domain.
 void hist_merge(HistChannel channel, const LocalHistogram& local);
 
 /// Records into the open-ended named table (per-stage latencies). The
@@ -167,7 +164,8 @@ struct NamedHistogram {
   HistogramSnapshot hist;
 };
 
-/// Merged snapshot of one channel across every shard (live and retired).
+/// One channel of the calling thread's domain, including samples from
+/// threads that have since exited.
 [[nodiscard]] HistogramSnapshot histogram_snapshot(HistChannel channel);
 
 /// Every named histogram, sorted by name.
@@ -177,8 +175,9 @@ struct NamedHistogram {
 /// stable name, sorted. The report writer's source.
 [[nodiscard]] std::vector<NamedHistogram> all_histograms_snapshot();
 
-/// Zeroes every shard and the named table. Call only while no
-/// instrumented work is running.
+/// Zeroes the calling thread's domain's channels, and -- on an unbound
+/// thread -- the named table. Call only while no instrumented work is
+/// running.
 void histograms_reset();
 
 }  // namespace fp8q

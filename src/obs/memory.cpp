@@ -1,5 +1,6 @@
 #include "obs/memory.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 
@@ -12,40 +13,27 @@
 namespace fp8q {
 
 namespace {
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<std::uint64_t> g_alloc_count{0};
+
+/// The process-wide tally every unbound thread adds to: the allocation
+/// slice of the root observation domain (obs/domain.h). Constant-
+/// initialized and trivially destructible, so it outlives every thread.
+constinit AllocSink g_root_alloc_sink;
 thread_local AllocSink* tls_alloc_sink = nullptr;
+
+AllocSink& active_alloc_sink() {
+  AllocSink* bound = tls_alloc_sink;
+  return bound != nullptr ? *bound : g_root_alloc_sink;
+}
+
 }  // namespace
 
 void alloc_counter_add(std::uint64_t bytes) {
-  if (bytes == 0) return;
-  if (AllocSink* sink = tls_alloc_sink) {
-    sink->bytes.fetch_add(bytes, std::memory_order_relaxed);
-    sink->allocs.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  g_alloc_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (bytes != 0) active_alloc_sink().add({bytes, 1});
 }
 
-AllocCounterSnapshot alloc_counters_snapshot() {
-  if (const AllocSink* sink = tls_alloc_sink) return sink->snapshot();
-  AllocCounterSnapshot snap;
-  snap.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
-  snap.allocs = g_alloc_count.load(std::memory_order_relaxed);
-  return snap;
-}
+AllocCounterSnapshot alloc_counters_snapshot() { return active_alloc_sink().snapshot(); }
 
-void alloc_counters_reset() {
-  if (AllocSink* sink = tls_alloc_sink) {
-    sink->reset();
-    return;
-  }
-  g_alloc_bytes.store(0, std::memory_order_relaxed);
-  g_alloc_count.store(0, std::memory_order_relaxed);
-}
-
-AllocSink* current_alloc_sink() { return tls_alloc_sink; }
+void alloc_counters_reset() { active_alloc_sink().reset(); }
 
 AllocSink* set_thread_alloc_sink(AllocSink* sink) {
   AllocSink* previous = tls_alloc_sink;
@@ -54,17 +42,13 @@ AllocSink* set_thread_alloc_sink(AllocSink* sink) {
 }
 
 void alloc_counter_merge(const AllocCounterSnapshot& delta) {
-  if (delta.bytes == 0 && delta.allocs == 0) return;
-  if (AllocSink* sink = tls_alloc_sink) {
-    sink->bytes.fetch_add(delta.bytes, std::memory_order_relaxed);
-    sink->allocs.fetch_add(delta.allocs, std::memory_order_relaxed);
-    return;
-  }
-  g_alloc_bytes.fetch_add(delta.bytes, std::memory_order_relaxed);
-  g_alloc_count.fetch_add(delta.allocs, std::memory_order_relaxed);
+  if (delta.bytes != 0 || delta.allocs != 0) active_alloc_sink().add(delta);
 }
 
-std::uint64_t peak_rss_bytes() {
+namespace {
+
+/// getrusage's high-water mark in bytes; 0 where unsupported.
+std::uint64_t os_peak_rss_bytes() {
 #ifdef FP8Q_HAVE_GETRUSAGE
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
@@ -76,6 +60,24 @@ std::uint64_t peak_rss_bytes() {
 #else
   return 0;
 #endif
+}
+
+std::atomic<std::uint64_t> g_peak_rss_seen{0};
+
+}  // namespace
+
+std::uint64_t peak_rss_bytes() {
+  const std::uint64_t os_peak = os_peak_rss_bytes();
+  if (os_peak == 0) return 0;
+  // The kernel's high-water mark can trail the resident count that
+  // current_rss_bytes() reads by a few pages, so the peak takes that in
+  // too, and never falls below a figure it returned before.
+  const std::uint64_t now = std::max(os_peak, current_rss_bytes());
+  std::uint64_t seen = g_peak_rss_seen.load(std::memory_order_relaxed);
+  while (seen < now &&
+         !g_peak_rss_seen.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
+  }
+  return std::max(seen, now);
 }
 
 std::uint64_t current_rss_bytes() {

@@ -26,8 +26,8 @@ struct SpanBuffer {
 /// Registry of all span buffers ever created. Buffers are shared_ptr-held
 /// by both the registry and the owning thread, so records survive thread
 /// exit (pool resizes) and the registry can snapshot them afterwards.
-/// Intentionally leaked for the same static-destruction reason as the
-/// counters registry.
+/// Intentionally leaked, so threads that record during static destruction
+/// never see it destroyed.
 struct Registry {
   std::mutex mutex;
   std::vector<std::shared_ptr<SpanBuffer>> buffers FP8Q_GUARDED_BY(mutex);

@@ -88,30 +88,19 @@ void apply_per_channel(Tensor& t, const QuantParams& p) {
     throw std::invalid_argument("apply_quant: channel int8 param count mismatch");
   }
 
-  auto data = t.flat();
-  if (axis == 0 && t.dim() >= 1) {
-    // Fast path: contiguous blocks per channel.
-    const std::int64_t block = t.numel() / channels;
-    for (std::int64_t c = 0; c < channels; ++c) {
-      auto span = data.subspan(static_cast<size_t>(c * block), static_cast<size_t>(block));
-      if (fp8) {
-        fp8_quantize_scaled_fast(span, span, fast_cast_spec(fp8_kind(p.dtype)),
-                                 p.channel_scales[static_cast<size_t>(c)]);
-      } else {
-        int8_quantize(span, span, p.channel_int8[static_cast<size_t>(c)]);
-      }
-    }
-    return;
-  }
+  // Element i belongs to channel (i / stride) % channels, so the tensor
+  // is a sequence of contiguous runs of `stride` elements, each in one
+  // channel: one run per channel on axis 0, many short ones elsewhere.
   const std::int64_t n = t.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto c = static_cast<size_t>((i / stride) % channels);
-    auto& v = data[static_cast<size_t>(i)];
+  if (n == 0) return;
+  auto data = t.flat();
+  for (std::int64_t r = 0; r * stride < n; ++r) {
+    auto run = data.subspan(static_cast<size_t>(r * stride), static_cast<size_t>(stride));
+    const auto c = static_cast<size_t>(r % channels);
     if (fp8) {
-      const float s = p.channel_scales[c];
-      v = fp8_quantize_fast(v * s, fast_cast_spec(fp8_kind(p.dtype))) * (1.0f / s);
+      fp8_quantize_scaled_fast(run, run, fast_cast_spec(fp8_kind(p.dtype)), p.channel_scales[c]);
     } else {
-      v = int8_quantize(v, p.channel_int8[c]);
+      int8_quantize(run, run, p.channel_int8[c]);
     }
   }
 }

@@ -111,7 +111,7 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
   // report's counter blocks are this job's exact events -- no global
   // before/after snapshots, hence exact even with other jobs running
   // concurrently. The fold guard moves the tallies into the caller's
-  // enclosing sink (normally the process globals) on every exit path, so
+  // enclosing domain (normally the root domain) on every exit path, so
   // cumulative process-wide totals are unchanged by the detour.
   CounterDomain domain;
   struct FoldGuard {

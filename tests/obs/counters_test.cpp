@@ -1,6 +1,6 @@
-// Quantization-event counter semantics (src/obs/counters.h): sharded
-// totals must be independent of thread count, cost nothing when disabled,
-// and survive thread exit via the retired accumulator.
+// Quantization-event counter semantics (src/obs/counters.h): totals must
+// be independent of thread count, cost nothing when disabled, and keep the
+// counts of threads that have exited.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -147,7 +147,7 @@ TEST(Counters, ExitedThreadsFoldIntoRetiredTotals) {
         [] { counter_add(ObsFormat::kOther, ObsEvent::kQuantized, 10); });
   }
   for (auto& t : threads) t.join();
-  // All four shards are gone; the retired accumulator carries their totals.
+  // All four threads are gone; the root domain still holds their counts.
   EXPECT_EQ(counters_snapshot().get(ObsFormat::kOther, ObsEvent::kQuantized), 40u);
 }
 
@@ -162,8 +162,7 @@ TEST(Counters, ResetZeroesEverything) {
 
 TEST(KernelCounters, AlwaysOnAddSnapshotReset) {
   // Kernel-path counters are per-op-forward events: always on (no enable
-  // gate), process-global, and reset independently of the quantization
-  // counters.
+  // gate), and reset independently of the quantization counters.
   kernel_counters_reset();
   EXPECT_FALSE(kernel_counters_snapshot().any());
   kernel_counter_add(ObsKernelPath::kLinearPacked, 3);

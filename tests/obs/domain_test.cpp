@@ -2,11 +2,12 @@
 //
 // While a thread is bound to a CounterDomain, every obs write primitive
 // lands in the domain and every snapshot reads the domain's view; the
-// process globals are untouched until fold_into_global() moves the
-// tallies over. The suite pins: isolation from globals, isolation
-// BETWEEN domains (the fp8qd concurrent-jobs property), nesting, the
-// conservation law (sum over domains + globals is invariant under
-// folds), propagation across parallel regions, and the unbound fallback.
+// process-wide root domain (the "globals" below, what unbound threads
+// use) is untouched until fold_into_global() moves the tallies over. The
+// suite pins: isolation from the root, isolation BETWEEN domains (the
+// fp8qd concurrent-jobs property), nesting, the conservation law (sum
+// over domains + root is invariant under folds), propagation across
+// parallel regions, and the unbound fallback.
 #include "obs/domain.h"
 
 #include <thread>

@@ -1,5 +1,5 @@
 // Log-bucketed histograms (src/obs/histogram.h): bucket math, nearest-rank
-// quantiles, shard merging, and the determinism contract -- merged channel
+// quantiles, merging, and the determinism contract -- merged channel
 // snapshots must be bitwise-identical at every thread count. This binary is
 // registered twice with ctest (plain and with FP8Q_NUM_THREADS=4,
 // tests/CMakeLists.txt) so the whole suite also runs on a resized pool.
@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "core/parallel.h"
@@ -208,6 +209,25 @@ TEST(HistRegistry, AllHistogramsUseStableNamesSorted) {
   histograms_reset();
   EXPECT_TRUE(all_histograms_snapshot().empty());
   EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE5M2).total, 0u);
+}
+
+TEST(HistRegistry, SamplesOfExitedThreadsSurvive) {
+  // Samples recorded on a thread that has since exited (a pool worker torn
+  // down by a resize, a one-shot std::thread) stay in the snapshot.
+  HistGuard guard;
+  set_histograms_enabled(true);
+  std::thread worker([] {
+    hist_record(HistChannel::kTuneTrialNs, 5.0);
+    LocalHistogram local;
+    local.record(7.0);
+    local.record(9.0);
+    hist_merge(HistChannel::kTuneTrialNs, local);
+  });
+  worker.join();
+  const HistogramSnapshot snap = histogram_snapshot(HistChannel::kTuneTrialNs);
+  EXPECT_EQ(snap.total, 3u);
+  EXPECT_EQ(snap.min_value, 5.0);
+  EXPECT_EQ(snap.max_value, 9.0);
 }
 
 }  // namespace

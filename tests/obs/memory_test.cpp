@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -114,6 +115,25 @@ TEST(Memory, ReportDeltaPatternMatchesScopedStageUsage) {
   const auto d = delta_of(start);
   EXPECT_EQ(d.allocs, 2u);
   EXPECT_EQ(d.bytes, 2u * 1024u * sizeof(float));
+}
+
+TEST(Memory, UnboundThreadsShareTheRootTally) {
+  // Threads with no sink bound all add to the root sink concurrently; the
+  // tally must count every allocation, including those of threads that
+  // have already exited.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100;
+  const auto before = alloc_counters_snapshot();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kPerThread; ++i) Tensor scratch({16});
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const auto d = delta_of(before);
+  EXPECT_EQ(d.allocs, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(d.bytes, static_cast<std::uint64_t>(kThreads * kPerThread) * 16u * sizeof(float));
 }
 
 }  // namespace

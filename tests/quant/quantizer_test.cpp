@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "fp8/cast.h"
 #include "metrics/metrics.h"
+#include "obs/counters.h"
 #include "tensor/rng.h"
 #include "tensor/stats.h"
 
@@ -146,6 +149,29 @@ TEST(ApplyQuant, PerChannelNonZeroAxis) {
   EXPECT_FLOAT_EQ(q[0], 1.0f);
   EXPECT_FLOAT_EQ(q[1], 100.0f);
   EXPECT_FLOAT_EQ(q[3], -100.0f);
+
+  // A middle axis: element i is in channel (i / 4) % 3, so each channel
+  // owns several non-adjacent runs. The output must be bit-equal to the
+  // per-element reference, and every element must be counted.
+  Rng rng(5);
+  const Tensor y = randn(rng, {2, 3, 4});
+  QuantParams mid;
+  mid.dtype = DType::kE4M3;
+  mid.granularity = Granularity::kPerChannel;
+  mid.channel_axis = 1;
+  mid.channel_scales = {448.0f, 30.0f, 0.5f};
+  set_counters_enabled(true);
+  const CounterSnapshot before = counters_snapshot();
+  const Tensor qy = apply_quant(y, mid);
+  const CounterSnapshot delta = counters_snapshot().since(before);
+  set_counters_enabled(false);
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    const float s = mid.channel_scales[static_cast<std::size_t>((i / 4) % 3)];
+    const float want = fp8_quantize(y[i] * s, Fp8Kind::E4M3) * (1.0f / s);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(qy[i]), std::bit_cast<std::uint32_t>(want)) << i;
+  }
+  EXPECT_EQ(delta.get(ObsFormat::kE4M3, ObsEvent::kQuantized),
+            static_cast<std::uint64_t>(y.numel()));
 }
 
 TEST(ApplyQuant, FormatPrecisionOrderingOnSmoothTensor) {

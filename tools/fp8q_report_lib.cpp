@@ -29,15 +29,6 @@ std::string human_bytes(std::uint64_t bytes) {
   return os.str();
 }
 
-bool counters_any(const CounterSnapshot& snap) {
-  for (int f = 0; f < kObsFormatCount; ++f) {
-    for (int e = 0; e < kObsEventCount; ++e) {
-      if (snap.counts[f][e] != 0) return true;
-    }
-  }
-  return false;
-}
-
 void print_counters(std::ostream& os, const CounterSnapshot& snap, const char* indent) {
   for (int f = 0; f < kObsFormatCount; ++f) {
     bool any = false;
@@ -110,7 +101,7 @@ std::string format_report(const RunReport& report) {
     }
   }
 
-  if (counters_any(report.counters)) {
+  if (report.counters.any()) {
     os << "counters:\n";
     print_counters(os, report.counters, "  ");
   }
