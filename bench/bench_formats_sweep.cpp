@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "fp8/cast.h"
+#include "fp8/cast_fast.h"
 #include "metrics/metrics.h"
 #include "tensor/rng.h"
 #include "tensor/stats.h"
@@ -21,7 +21,7 @@ double max_scaled_mse(const Tensor& x, const FormatSpec& spec) {
   const float amax = absmax(x);
   const float scale = amax > 0.0f ? spec.max_value() / amax : 1.0f;
   Tensor q = x;
-  fp8_quantize_scaled(q.flat(), q.flat(), spec, scale);
+  fp8_quantize_scaled(q.flat(), q.flat(), FastCastSpec(spec), scale);
   return mse(x, q);
 }
 

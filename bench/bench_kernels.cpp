@@ -1,7 +1,7 @@
 // Hot-path kernel performance snapshot (docs/PERFORMANCE.md). Measures:
 //
-//   * fake-quant cast throughput, scalar fast-cast loop vs the batched
-//     branch-free kernel, per FP8 format, pinned to one thread;
+//   * fake-quant cast throughput, the scalar reference loop vs the
+//     batched branch-free kernel, per FP8 format, pinned to one thread;
 //   * blocked matmul throughput in GFLOP/s;
 //   * packed FP8 GEMM (decode-in-register, docs/KERNELS.md) vs the
 //     dequantize-then-matmul baseline, per FP8 format, at the dispatched
@@ -22,6 +22,7 @@
 
 #include "core/cpu_dispatch.h"
 #include "core/parallel.h"
+#include "fp8/cast.h"
 #include "fp8/cast_fast.h"
 #include "fp8/packed.h"
 #include "nn/conv.h"
@@ -49,7 +50,12 @@ struct CastResult {
   double batched_elems_per_sec;
 };
 
+/// The cast row: the reference loop fp8_quantize(x * scale) * inv (the
+/// scalar oracle, fp8/cast.h) against the batched kernel, then one
+/// untimed call of the counted bulk entry point on the same input, so the
+/// run report carries real per-format event totals for the CI diffs.
 CastResult measure_cast(Fp8Kind kind, std::int64_t n, int iters, int reps) {
+  const FormatSpec& ref_spec = format_spec(kind);
   const FastCastSpec& spec = fast_cast_spec(kind);
   Rng rng(17);
   Tensor data = randn(rng, {n});
@@ -66,7 +72,7 @@ CastResult measure_cast(Fp8Kind kind, std::int64_t n, int iters, int reps) {
     std::uint64_t t0 = obs_now_ns();
     for (int it = 0; it < iters; ++it) {
       for (std::size_t i = 0; i < in.size(); ++i) {
-        dst[i] = fp8_quantize_fast(in[i] * scale, spec) * inv;
+        dst[i] = fp8_quantize(in[i] * scale, ref_spec) * inv;
       }
       sink = dst[0];
     }
@@ -85,6 +91,11 @@ CastResult measure_cast(Fp8Kind kind, std::int64_t n, int iters, int reps) {
     if (batched_rate > batched_best) batched_best = batched_rate;
   }
   (void)sink;
+  // At the process's default thread count (FP8Q_NUM_THREADS), not the
+  // pinned one: the totals must match across thread counts and ISA tiers.
+  set_num_threads(0);
+  fp8_quantize_scaled(in, dst, spec, scale);
+  set_num_threads(1);
   return {to_string(kind).data(), scalar_best, batched_best};
 }
 
@@ -137,7 +148,7 @@ struct PackedGemmResult {
 PackedGemmResult measure_packed_gemm(Fp8Kind kind, std::int64_t m, std::int64_t k,
                                      std::int64_t n, int iters, int reps) {
   Rng rng(29);
-  Tensor a = randn(rng, {m, k});
+  const Tensor a = randn(rng, {m, k});
   Tensor b = randn(rng, {n, k});
   const PackedFp8Tensor packed = PackedFp8Tensor::pack_per_channel(b, kind);
   const PackedWeightMatrix w = pack_gemm_weight(packed);
@@ -150,7 +161,8 @@ PackedGemmResult measure_packed_gemm(Fp8Kind kind, std::int64_t m, std::int64_t 
   for (int r = 0; r < reps; ++r) {
     std::uint64_t t0 = obs_now_ns();
     for (int it = 0; it < iters; ++it) {
-      const Tensor y = packed_matmul(a, w);
+      Tensor y({m, n});
+      packed_gemm_forward(a.data(), w, nullptr, y.data(), m);
       sink = y[0];
     }
     const double packed_rate = flops / seconds_since(t0) / 1e9;

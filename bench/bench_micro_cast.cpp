@@ -33,52 +33,27 @@ void BM_Fp8QuantizeScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp8QuantizeScalar)->Arg(0)->Arg(1)->Arg(2);
 
-void BM_Fp8QuantizeVector(benchmark::State& state) {
-  const auto& spec = format_spec(Fp8Kind::E4M3);
-  Tensor data = make_data(state.range(0));
-  Tensor out(data.shape());
-  for (auto _ : state) {
-    fp8_quantize(data.flat(), out.flat(), spec);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Fp8QuantizeVector)->Arg(1024)->Arg(65536);
-
-void BM_Fp8QuantizeScaled(benchmark::State& state) {
-  const auto& spec = format_spec(Fp8Kind::E4M3);
-  Tensor data = make_data(state.range(0));
-  Tensor out(data.shape());
-  const float scale = spec.max_value() / absmax(data);
-  for (auto _ : state) {
-    fp8_quantize_scaled(data.flat(), out.flat(), spec, scale);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Fp8QuantizeScaled)->Arg(65536);
-
-// Scalar fast-cast loop vs the batched branch-free kernel, per format: the
-// pair measures what the auto-vectorizable rewrite buys on the same data
+// Reference loop vs the batched branch-free kernel, per format: the pair
+// measures what the kernel buys over the scalar oracle on the same data
 // (docs/PERFORMANCE.md). Both compute out = quantize(x * scale) / scale.
-void BM_Fp8QuantizeScaledScalarLoop(benchmark::State& state) {
+void BM_Fp8QuantizeScaledReferenceLoop(benchmark::State& state) {
   const auto kind = static_cast<Fp8Kind>(state.range(0));
-  const FastCastSpec& spec = fast_cast_spec(kind);
+  const FormatSpec& spec = format_spec(kind);
   Tensor data = make_data(65536);
   Tensor out(data.shape());
-  const float scale = spec.max_value / 17.0f;
+  const float scale = spec.max_value() / 17.0f;
   const float inv = 1.0f / scale;
   const auto in = data.flat();
   auto dst = out.flat();
   for (auto _ : state) {
     for (std::size_t i = 0; i < in.size(); ++i) {
-      dst[i] = fp8_quantize_fast(in[i] * scale, spec) * inv;
+      dst[i] = fp8_quantize(in[i] * scale, spec) * inv;
     }
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(in.size()));
 }
-BENCHMARK(BM_Fp8QuantizeScaledScalarLoop)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Fp8QuantizeScaledReferenceLoop)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Fp8QuantizeBatched(benchmark::State& state) {
   const auto kind = static_cast<Fp8Kind>(state.range(0));
@@ -96,12 +71,12 @@ void BM_Fp8QuantizeBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_Fp8QuantizeBatched)->Arg(0)->Arg(1)->Arg(2);
 
-// Disabled-path overhead check for the full bulk entry point: with
-// counters, histograms and tracing all off, fp8_quantize_scaled_fast must
-// cost the batched kernel plus a few relaxed atomic flag loads per bulk
-// call. Compare against BM_Fp8QuantizeBatched; a gap beyond noise means an
+// Disabled-path overhead check for the bulk entry point: with counters,
+// histograms and tracing all off, fp8_quantize_scaled must cost the
+// batched kernel plus a few relaxed atomic flag loads per bulk call.
+// Compare against BM_Fp8QuantizeBatched; a gap beyond noise means an
 // instrumentation branch leaked into the per-element path.
-void BM_Fp8QuantizeScaledFastDisabledObs(benchmark::State& state) {
+void BM_Fp8QuantizeScaledDisabledObs(benchmark::State& state) {
   const auto kind = static_cast<Fp8Kind>(state.range(0));
   const FastCastSpec& spec = fast_cast_spec(kind);
   Tensor data = make_data(65536);
@@ -113,7 +88,7 @@ void BM_Fp8QuantizeScaledFastDisabledObs(benchmark::State& state) {
   set_counters_enabled(false);
   set_histograms_enabled(false);
   for (auto _ : state) {
-    fp8_quantize_scaled_fast(data.flat(), out.flat(), spec, scale);
+    fp8_quantize_scaled(data.flat(), out.flat(), spec, scale);
     benchmark::DoNotOptimize(out.data());
   }
   set_counters_enabled(counters_before);
@@ -121,7 +96,7 @@ void BM_Fp8QuantizeScaledFastDisabledObs(benchmark::State& state) {
   set_num_threads(0);
   state.SetItemsProcessed(state.iterations() * data.numel());
 }
-BENCHMARK(BM_Fp8QuantizeScaledFastDisabledObs)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Fp8QuantizeScaledDisabledObs)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Int8Quantize(benchmark::State& state) {
   Tensor data = make_data(state.range(0));

@@ -85,12 +85,12 @@ int main(int argc, char** argv) {
 
     set_num_threads(1);
     const double serial =
-        time_best(3, [&] { fp8_quantize_scaled_fast(in, out, spec, 0.41f); });
+        time_best(3, [&] { fp8_quantize_scaled(in, out, spec, 0.41f); });
     const std::vector<float> reference = out;
     for (int t : thread_points()) {
       set_num_threads(t);
       const double secs =
-          time_best(3, [&] { fp8_quantize_scaled_fast(in, out, spec, 0.41f); });
+          time_best(3, [&] { fp8_quantize_scaled(in, out, spec, 0.41f); });
       print_row("cast 4M floats E4M3", t, secs, serial, out == reference);
     }
     std::printf("\n");

@@ -46,8 +46,6 @@ IsaTier env_tier_cached() {
 /// -1 = use the FP8Q_ISA / probe default; otherwise an IsaTier value.
 std::atomic<int> g_tier_override{-1};
 
-std::atomic<bool> g_packed_enabled{true};
-
 }  // namespace
 
 const char* to_string(IsaTier tier) {
@@ -90,13 +88,5 @@ const char* isa_label() {
       std::string(to_string(IsaTier::kNative)) + ":" + isa_native_name();
   return native.c_str();
 }
-
-bool packed_compute_enabled() { return g_packed_enabled.load(std::memory_order_relaxed); }
-
-void set_packed_compute_enabled(bool enabled) {
-  g_packed_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-void reset_packed_compute_enabled() { set_packed_compute_enabled(true); }
 
 }  // namespace fp8q

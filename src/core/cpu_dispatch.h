@@ -20,11 +20,6 @@
 // per kernel call by indexing a per-kernel function table with the tier
 // (packed_kernels in nn/packed_gemm.h), so tests can flip tiers between
 // calls with set_isa_tier().
-//
-// packed_compute_enabled() gates whether the quantization pipeline
-// attaches packed weights to ops at all (QuantizedGraph::prepare). It is
-// always on outside tests: the packed kernels are bit-identical to the
-// dequantize-to-FP32 path, so turning it off only changes speed.
 #pragma once
 
 namespace fp8q {
@@ -57,15 +52,5 @@ void reset_isa_tier();
 /// "scalar" / "native:avx2" / "native:neon" -- the fully resolved
 /// dispatch label written into run reports and bench rows.
 [[nodiscard]] const char* isa_label();
-
-/// True when QuantizedGraph should attach packed weights to compute ops
-/// (default on; set_packed_compute_enabled overrides).
-[[nodiscard]] bool packed_compute_enabled();
-
-/// Programmatic override of the packed-compute default (tests).
-void set_packed_compute_enabled(bool enabled);
-
-/// Clears the override and restores the default (on).
-void reset_packed_compute_enabled();
 
 }  // namespace fp8q

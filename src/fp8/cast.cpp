@@ -5,17 +5,9 @@
 #include <cmath>
 #include <limits>
 
-#include "core/parallel.h"
-#include "obs/counters.h"
-
 namespace fp8q {
 
 namespace {
-
-/// Iterations per chunk for the element-wise quantize loops. The scalar
-/// slow path costs ~50-100ns/element, so this keeps chunks well above the
-/// pool's dispatch overhead while still splitting megabyte tensors.
-constexpr std::int64_t kCastGrain = 2048;
 
 /// xorshift64* step for stochastic rounding; returns uniform double in [0,1).
 double next_uniform(std::uint64_t* state) {
@@ -68,40 +60,6 @@ std::uint8_t infinity_code(const FormatSpec& spec) {
   // Only meaningful for the IEEE family: top exponent, zero mantissa.
   return static_cast<std::uint8_t>(((1u << spec.exp_bits) - 1u) << spec.man_bits);
 }
-
-/// Per-chunk quantization-event tally for the reference bulk casts; events
-/// are classified from (input, output) pairs, so every overflow policy and
-/// rounding mode is covered without duplicating cast logic.
-struct EventTally {
-  std::uint64_t quantized = 0;
-  std::uint64_t saturated = 0;
-  std::uint64_t flushed = 0;
-  std::uint64_t nan_produced = 0;
-  std::uint64_t inf_produced = 0;
-
-  /// `x` is the value in the format's domain (already scaled), `q` the
-  /// quantized result before any inverse scaling.
-  void classify(float x, float q, float max_value) {
-    ++quantized;
-    if (std::isnan(q)) {
-      if (!std::isnan(x)) ++nan_produced;  // NaN pass-through is not an event
-    } else if (std::isinf(q)) {
-      if (!std::isinf(x)) ++inf_produced;
-    } else if (q == 0.0f) {
-      if (x != 0.0f) ++flushed;
-    } else if (std::fabs(q) == max_value && std::fabs(x) > max_value) {
-      ++saturated;  // includes +/-Inf inputs under the saturating policy
-    }
-  }
-
-  void flush(ObsFormat fmt) const {
-    counter_add(fmt, ObsEvent::kQuantized, quantized);
-    counter_add(fmt, ObsEvent::kSaturated, saturated);
-    counter_add(fmt, ObsEvent::kFlushedToZero, flushed);
-    counter_add(fmt, ObsEvent::kNanProduced, nan_produced);
-    counter_add(fmt, ObsEvent::kInfProduced, inf_produced);
-  }
-};
 
 }  // namespace
 
@@ -244,79 +202,6 @@ float fp8_quantize(float x, const FormatSpec& spec, const CastOptions& opts) {
     v = maxv;
   }
   return std::copysign(v, x);
-}
-
-void fp8_quantize(std::span<const float> in, std::span<float> out,
-                  const FormatSpec& spec, const CastOptions& opts) {
-  const auto n = static_cast<std::int64_t>(std::min(in.size(), out.size()));
-  // Event counting is decided once per bulk call; the instrumented loops
-  // classify from (input, output) pairs and flush one tally per chunk, so
-  // outputs are bit-identical with counters on or off.
-  const bool counted = counters_enabled();
-  const ObsFormat fmt = counted ? obs_format(spec) : ObsFormat::kOther;
-  const float maxv = counted ? spec.max_value() : 0.0f;
-  if (opts.rounding == RoundingMode::kStochastic) {
-    // Stochastic rounding consumes a single rng stream in element order;
-    // stays serial so the draw sequence is identical at any thread count.
-    EventTally tally;
-    for (std::int64_t i = 0; i < n; ++i) {
-      out[i] = fp8_quantize(in[i], spec, opts);
-      if (counted) tally.classify(in[i], out[i], maxv);
-    }
-    if (counted) tally.flush(fmt);
-    return;
-  }
-  parallel_for(0, n, kCastGrain, [&, counted](std::int64_t lo, std::int64_t hi) {
-    if (!counted) {
-      for (std::int64_t i = lo; i < hi; ++i) out[i] = fp8_quantize(in[i], spec, opts);
-      return;
-    }
-    EventTally tally;
-    for (std::int64_t i = lo; i < hi; ++i) {
-      out[i] = fp8_quantize(in[i], spec, opts);
-      tally.classify(in[i], out[i], maxv);
-    }
-    tally.flush(fmt);
-  });
-}
-
-void fp8_quantize_scaled(std::span<const float> in, std::span<float> out,
-                         const FormatSpec& spec, float scale, const CastOptions& opts) {
-  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  const float inv = 1.0f / scale;
-  const auto n = static_cast<std::int64_t>(std::min(in.size(), out.size()));
-  // Events are classified in the scaled domain (the format's own range),
-  // before the inverse scale is applied to the stored output.
-  const bool counted = counters_enabled();
-  const ObsFormat fmt = counted ? obs_format(spec) : ObsFormat::kOther;
-  const float maxv = counted ? spec.max_value() : 0.0f;
-  if (opts.rounding == RoundingMode::kStochastic) {
-    EventTally tally;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float scaled = in[i] * scale;
-      const float q = fp8_quantize(scaled, spec, opts);
-      out[i] = q * inv;
-      if (counted) tally.classify(scaled, q, maxv);
-    }
-    if (counted) tally.flush(fmt);
-    return;
-  }
-  parallel_for(0, n, kCastGrain, [&, counted](std::int64_t lo, std::int64_t hi) {
-    if (!counted) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        out[i] = fp8_quantize(in[i] * scale, spec, opts) * inv;
-      }
-      return;
-    }
-    EventTally tally;
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const float scaled = in[i] * scale;
-      const float q = fp8_quantize(scaled, spec, opts);
-      out[i] = q * inv;
-      tally.classify(scaled, q, maxv);
-    }
-    tally.flush(fmt);
-  });
 }
 
 std::vector<float> representable_values(const FormatSpec& spec) {

@@ -1,12 +1,18 @@
-// FP8 casting: bit-exact encode/decode between float32 and 8-bit codes,
-// plus the fused quantize-dequantize ("fake quant") used throughout the
-// emulation framework. This mirrors the role of the FP8 Emulation Toolkit
-// referenced by the paper: all arithmetic stays in FP32, values are snapped
-// onto the FP8 grid at operator boundaries.
+// FP8 casting reference: bit-exact encode/decode between float32 and 8-bit
+// codes, plus the scalar fused quantize-dequantize ("fake quant"). This
+// mirrors the role of the FP8 Emulation Toolkit referenced by the paper:
+// all arithmetic stays in FP32, values are snapped onto the FP8 grid at
+// operator boundaries.
+//
+// fp8_quantize here is one of the two implementations of the fake-quant
+// rule (round to nearest even, then saturate). It is the test oracle, and
+// the only path with the other rounding modes and overflow policies. The
+// other implementation is the branch-free kernel in fp8/cast_fast.h, whose
+// fp8_quantize_scaled is the bulk entry point every tensor cast runs
+// through.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "fp8/format.h"
@@ -59,18 +65,6 @@ struct CastOptions {
 [[nodiscard]] inline float fp8_decode(std::uint8_t code, Fp8Kind kind) {
   return fp8_decode(code, format_spec(kind));
 }
-
-/// Vectorized fake-quant: out[i] = fp8_quantize(in[i]). `out` may alias `in`.
-void fp8_quantize(std::span<const float> in, std::span<float> out,
-                  const FormatSpec& spec, const CastOptions& opts = {});
-
-/// Scaled fake-quant used by the quantization schemes:
-///   out[i] = fp8_quantize(in[i] * scale) / scale.
-/// `scale` maps the calibrated tensor range onto the format's full range
-/// (s = float_max / max_T, paper section 3.1). `out` may alias `in`.
-void fp8_quantize_scaled(std::span<const float> in, std::span<float> out,
-                         const FormatSpec& spec, float scale,
-                         const CastOptions& opts = {});
 
 /// Every finite value representable by `spec`, ascending, deduplicated
 /// (+0 and -0 collapse to one entry). Useful for grid/density analyses

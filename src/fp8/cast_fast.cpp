@@ -20,51 +20,6 @@ FastCastSpec::FastCastSpec(const FormatSpec& spec)
       max_value(spec.max_value()),
       obs_fmt(obs_format(spec)) {}
 
-float fp8_quantize_fast(float x, const FastCastSpec& spec) {
-  std::uint32_t u = std::bit_cast<std::uint32_t>(x);
-  const std::uint32_t sign = u & 0x80000000u;
-  std::uint32_t au = u & 0x7FFFFFFFu;
-
-  if (au >= 0x7F800000u) {
-    // NaN passes through quietened (payload kept); +/-Inf saturates to +/-max.
-    if (au > 0x7F800000u) return std::bit_cast<float>(u | 0x00400000u);
-    return std::bit_cast<float>(sign | spec.max_bits);
-  }
-  if (au <= spec.half_min_sub) {
-    // At or below half the smallest subnormal: rounds to (signed) zero.
-    // The exact tie (== half) goes to zero by round-to-even.
-    return std::bit_cast<float>(sign);
-  }
-
-  // Effective mantissa width shrinks by one bit per binade below the
-  // normal range (shared subnormal grid at min_unbiased_exp).
-  const int e32 = static_cast<int>(au >> 23) - 127;
-  int shift = 23 - spec.man_bits;
-  if (e32 < spec.min_unbiased_exp) shift += spec.min_unbiased_exp - e32;
-
-  if (shift >= 24) {
-    // Value in (half_min_sub, min_subnormal): rounds up to the smallest
-    // subnormal (the exact tie was handled above).
-    const float mag = spec.min_subnormal;
-    return sign ? -mag : mag;
-  }
-
-  // Round-to-nearest-even at `shift` dropped bits: add the rounding bias
-  // (carry propagates naturally into the exponent field). When the whole
-  // mantissa is dropped (shift == 23, the lowest subnormal binade with one
-  // effective bit), the kept LSB lies in the exponent field and no longer
-  // encodes grid parity; there the upper neighbour (2 ulp, even) always
-  // wins ties, which is exactly round-half-up.
-  const std::uint32_t bias = shift == 23
-                                 ? (1u << 22)
-                                 : ((1u << (shift - 1)) - 1u) + ((au >> shift) & 1u);
-  au += bias;
-  au &= ~((1u << shift) - 1u);
-
-  if (au > spec.max_bits) au = spec.max_bits;  // saturate
-  return std::bit_cast<float>(sign | au);
-}
-
 void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
                         const FastCastSpec& spec, float scale, CastTally* tally) {
   const std::size_t n = in.size() < out.size() ? in.size() : out.size();
@@ -101,15 +56,18 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
   // exponent into a float, so `v = ax / step` and the final `k * step` are
   // EXACT power-of-two scalings; the single rounding happens in the magic
   // add, which snaps v < 2^22 to the nearest integer with ties-to-even.
-  // That reproduces the scalar path bit for bit, including its two rounding
+  // That reproduces the reference bit for bit, including its two rounding
   // corners: in the lowest subnormal binade v lies in [1, 2), where the
-  // RNE tie at 1.5 picks 2 (the even integer) -- the scalar shift == 23
-  // round-half-up -- and in (half_min_sub, min_subnormal), v lies in
-  // (0.5, 1), rounding up to one grid step, the scalar shift >= 24 case.
-  // Inf survives the arithmetic (v = k = q = Inf) and the saturate select
-  // clamps it to max_value; NaN fails every compare and is passed through
-  // by the final select with its payload intact. All operations are
-  // constant shifts, adds, multiplies and compare-selects, so the loop
+  // RNE tie at 1.5 picks 2, the even integer and the upper grid point;
+  // and in (half_min_sub, min_subnormal), v lies in (0.5, 1), rounding up
+  // to one grid step. +/-Inf (eb = 255) reaches the saturate select as
+  // q = Inf, or as q = NaN for one mantissa bit (E6M1), where the 1/step
+  // bit pattern has biased exponent man - 1 = 0, so v = Inf * 0. The
+  // select is written `q < max_value ? q : max_value` (one minps), which
+  // keeps q only when it is an ordered value below the bound, so both
+  // clamp to max_value. A NaN input fails every compare and is passed
+  // through by the final select with its payload intact. All operations
+  // are constant shifts, adds, multiplies and compare-selects, so the loop
   // auto-vectorizes (this file builds at -O3, src/fp8/CMakeLists.txt).
   constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
   for (std::size_t i = 0; i < n; ++i) {
@@ -125,7 +83,7 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
     const float v = ax * inv_step;                        // exact
     const float k = (v + kRoundMagic) - kRoundMagic;      // RNE to integer
     float q = k * step;                                   // exact
-    q = q > max_value ? max_value : q;                    // saturate
+    q = q < max_value ? q : max_value;                    // saturate (NaN too)
     std::uint32_t rbits = sign | std::bit_cast<std::uint32_t>(q);
     rbits = au <= half_min_sub ? sign : rbits;            // flush to zero
     rbits = au > 0x7F800000u ? u : rbits;                 // NaN passthrough
@@ -133,8 +91,8 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
   }
 }
 
-void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
-                              const FastCastSpec& spec, float scale) {
+void fp8_quantize_scaled(std::span<const float> in, std::span<float> out,
+                         const FastCastSpec& spec, float scale) {
   if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
   const auto n = static_cast<std::int64_t>(in.size() < out.size() ? in.size() : out.size());
   // Event counting is decided once per bulk call (not per element); tallies
@@ -144,7 +102,7 @@ void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
   const bool counted = counters_enabled();
   const bool histed = histograms_enabled();
   // Pure per-element bit math: each index writes only out[i], so the
-  // result is bit-identical at any thread count. The fast path runs at a
+  // result is bit-identical at any thread count. The kernel runs at a
   // fraction of a ns/element; a large grain keeps single-batch calls inline.
   constexpr std::int64_t kGrain = kParallelGrainBytes / static_cast<std::int64_t>(sizeof(float));
   parallel_for(0, n, kGrain, [&, counted, histed](std::int64_t lo, std::int64_t hi) {

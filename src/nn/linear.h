@@ -4,8 +4,8 @@
 //   * FP32: the blocked row-kernel over the weight_ tensor -- always
 //     available, and what runs for unquantized graphs.
 //   * Packed: when a PackedWeightMatrix is attached (set_packed_weight,
-//     done by QuantizedGraph::prepare when packed_compute_enabled()), forward
-//     streams the 8-bit weight codes through packed_gemm_forward and never
+//     done by QuantizedGraph::prepare for FP8 weights), forward streams
+//     the 8-bit weight codes through packed_gemm_forward and never
 //     touches weight_. Bit-identical to running the FP32 path on the
 //     fake-quantized weight, at every ISA tier and thread count.
 #pragma once

@@ -2,9 +2,10 @@
 // and context products). Both operands come from the graph, so under the
 // extended scheme *both* inputs are quantized -- which also means there is
 // no persistent weight to attach packed codes to; MatMulOp always runs the
-// FP32 blocked kernel. For a matmul against a *stored* FP8 operand, use
-// packed_matmul (nn/packed_gemm.h), which consumes the 8-bit codes
-// directly and is bit-identical to unpacking + MatMulOp with transpose_b.
+// FP32 blocked kernel. A matmul against a *stored* FP8 operand is the
+// Linear case: packed_gemm_forward (nn/packed_gemm.h) consumes the 8-bit
+// codes directly and is bit-identical to unpacking + MatMulOp with
+// transpose_b.
 #pragma once
 
 #include "nn/op.h"

@@ -5,9 +5,6 @@
 
 #include "core/parallel.h"
 #include "fp8/format.h"
-#include "obs/counters.h"
-#include "obs/histogram.h"
-#include "obs/trace.h"
 
 namespace fp8q {
 namespace {
@@ -201,26 +198,6 @@ void packed_gemm_forward(const float* x, const PackedWeightMatrix& w, const floa
   parallel_for(0, rows, grain, [&](std::int64_t lo, std::int64_t hi) {
     kt.gemm(x + lo * w.k, w, bias, y + lo * w.n, hi - lo);
   });
-}
-
-Tensor packed_matmul(const Tensor& a, const PackedWeightMatrix& w) {
-  if (a.dim() < 1 || a.size(-1) != w.k) {
-    throw std::invalid_argument("packed_matmul: inner dims differ");
-  }
-  kernel_counter_add(ObsKernelPath::kMatmulPacked, 1);
-  TraceSpan span("matmul_packed");
-  Shape out_shape = a.shape();
-  out_shape.back() = w.n;
-  Tensor y(std::move(out_shape));
-  const std::int64_t rows = a.numel() / w.k;
-  const bool hists = histograms_enabled();
-  const std::uint64_t start_ns = hists ? obs_now_ns() : 0;
-  packed_gemm_forward(a.data(), w, nullptr, y.data(), rows);
-  if (hists) {
-    hist_record_named("kernel:matmul_packed",
-                      static_cast<double>(obs_now_ns() - start_ns));
-  }
-  return y;
 }
 
 }  // namespace fp8q

@@ -47,7 +47,6 @@
 
 #include "core/cpu_dispatch.h"
 #include "fp8/packed.h"
-#include "tensor/tensor.h"
 
 namespace fp8q {
 
@@ -131,11 +130,6 @@ struct PackedKernelTable {
 /// LinearOp, dispatching to packed_kernels(isa_tier()).
 void packed_gemm_forward(const float* x, const PackedWeightMatrix& w, const float* bias,
                          float* y, std::int64_t rows);
-
-/// A [..., m, k] times the packed weight's decode as B^T ([k, n]) ->
-/// [..., m, n]. The packed counterpart of unpacking to FP32 and calling
-/// MatMulOp with transpose_b; bit-identical to that path.
-[[nodiscard]] Tensor packed_matmul(const Tensor& a, const PackedWeightMatrix& w);
 
 namespace detail {
 /// Defined by the arch TU compiled into this build (AVX2 or NEON).

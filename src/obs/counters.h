@@ -225,7 +225,7 @@ enum class ObsKernelPath : std::uint8_t {
   kLinearFp32,    ///< LinearOp forward on the FP32 weight
   kConvPacked,    ///< Conv2dOp forward on packed codes
   kConvFp32,      ///< Conv2dOp forward on the FP32 weight
-  kMatmulPacked,  ///< packed_matmul on packed codes
+  kMatmulPacked,  ///< nothing increments it any more; kept for the report schema
   kMatmulFp32,    ///< MatMulOp forward (both operands FP32)
   kCacheDecode,   ///< weight-cache hit served by decoding packed codes
 };

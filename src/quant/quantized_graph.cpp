@@ -3,7 +3,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/cpu_dispatch.h"
 #include "nn/conv.h"
 #include "nn/linear.h"
 #include "nn/norm.h"
@@ -115,18 +114,14 @@ void QuantizedGraph::quantize_weights() {
     // The main weight (index 0) is quantized per-channel on axis 0; biases
     // and other parameters stay FP32.
     Tensor& w = *ws[0];
-    if (!packed_compute_enabled()) {
-      quantize_weight_cached(w, config_.scheme.weight_dtype, Granularity::kPerChannel, 0);
-      continue;
-    }
     // Packed compute (docs/KERNELS.md): hand Linear/Conv ops the verified
     // 8-bit codes so their forward decodes in-register instead of reading
     // the fake-quantized FP32 weight. A null handle (non-FP8 dtype,
     // non-standard recipe, NaN payloads) leaves the op on the
     // bit-identical FP32 path; so does any op kind without a packed
     // kernel.
-    auto packed = quantize_weight_cached_packed(w, config_.scheme.weight_dtype,
-                                                Granularity::kPerChannel, 0);
+    auto packed = quantize_weight_cached(w, config_.scheme.weight_dtype,
+                                         Granularity::kPerChannel, 0);
     if (auto* lin = dynamic_cast<LinearOp*>(node.op.get())) {
       lin->set_packed_weight(
           packed ? std::make_shared<PackedWeightMatrix>(pack_gemm_weight(*packed))

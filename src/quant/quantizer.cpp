@@ -98,7 +98,7 @@ void apply_per_channel(Tensor& t, const QuantParams& p) {
     auto run = data.subspan(static_cast<size_t>(r * stride), static_cast<size_t>(stride));
     const auto c = static_cast<size_t>(r % channels);
     if (fp8) {
-      fp8_quantize_scaled_fast(run, run, fast_cast_spec(fp8_kind(p.dtype)), p.channel_scales[c]);
+      fp8_quantize_scaled(run, run, fast_cast_spec(fp8_kind(p.dtype)), p.channel_scales[c]);
     } else {
       int8_quantize(run, run, p.channel_int8[c]);
     }
@@ -126,8 +126,8 @@ void apply_per_group(Tensor& t, const QuantParams& p) {
     const auto len = static_cast<size_t>(std::min<std::int64_t>(p.group_size, n - g * p.group_size));
     auto span = data.subspan(begin, len);
     if (fp8) {
-      fp8_quantize_scaled_fast(span, span, fast_cast_spec(fp8_kind(p.dtype)),
-                               p.channel_scales[static_cast<size_t>(g)]);
+      fp8_quantize_scaled(span, span, fast_cast_spec(fp8_kind(p.dtype)),
+                          p.channel_scales[static_cast<size_t>(g)]);
     } else {
       int8_quantize(span, span, p.channel_int8[static_cast<size_t>(g)]);
     }
@@ -174,7 +174,7 @@ void apply_quant_inplace(Tensor& t, const QuantParams& p) {
   TraceSpan span("quant/apply-tensor");
   auto data = t.flat();
   if (is_fp8(p.dtype)) {
-    fp8_quantize_scaled_fast(data, data, fast_cast_spec(fp8_kind(p.dtype)), p.scale);
+    fp8_quantize_scaled(data, data, fast_cast_spec(fp8_kind(p.dtype)), p.scale);
   } else {
     int8_quantize(data, data, p.int8);
   }
@@ -192,7 +192,7 @@ void apply_per_token_dynamic(Tensor& x, DType dtype) {
       const float amax = absmax(row);
       const float scale = fp8_activation_scale(dtype, amax);
       // E5M2 keeps its direct cast (scale 1) even per-token.
-      fp8_quantize_scaled_fast(row, row, fast_cast_spec(fp8_kind(dtype)), scale);
+      fp8_quantize_scaled(row, row, fast_cast_spec(fp8_kind(dtype)), scale);
     } else {
       const auto [lo, hi] = minmax(row);
       int8_quantize(row, row, int8_asymmetric_params(lo, hi));

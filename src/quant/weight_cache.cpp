@@ -160,7 +160,7 @@ void evict_until_within(Cache& c) FP8Q_REQUIRES(c.mutex) {
 /// The uncached miss computation: per-channel absmax scales exactly as
 /// make_weight_params builds them (absmax_per_channel, zero-max channels
 /// get scale 1), each contiguous channel block pushed through the batched
-/// kernel with the same scale sanitization fp8_quantize_scaled_fast
+/// kernel with the same scale sanitization fp8_quantize_scaled
 /// applies. Bit-identical to the uncached path; the tally is always
 /// collected so a later hit can replay it.
 ///
@@ -253,9 +253,11 @@ void count_bypass() {
   cache_counter_add(ObsCacheEvent::kBypass, 1);
 }
 
-std::shared_ptr<const PackedFp8Tensor> quantize_weight_impl(Tensor& w, DType dtype,
-                                                            Granularity granularity,
-                                                            int axis, bool want_packed) {
+}  // namespace
+
+std::shared_ptr<const PackedFp8Tensor> quantize_weight_cached(Tensor& w, DType dtype,
+                                                              Granularity granularity,
+                                                              int axis) {
   // Only the standard paper recipe is cached (and packable). Everything
   // else -- FP32 no-op, INT8, per-tensor/group, nonzero axis -- computes
   // directly through the uncached kernels.
@@ -268,15 +270,10 @@ std::shared_ptr<const PackedFp8Tensor> quantize_weight_impl(Tensor& w, DType dty
     return nullptr;
   }
   if (weight_cache_capacity_bytes() <= 0) {
-    // Caching disabled: still a bypass for the cache, but when the caller
-    // wants the packed form it is built and verified anyway --
-    // FP8Q_WEIGHT_CACHE_MB=0 turns off retention, not packed compute.
+    // Caching disabled: still a bypass for the cache, but the packed form
+    // is built and verified anyway -- FP8Q_WEIGHT_CACHE_MB=0 turns off
+    // retention, not packed compute.
     count_bypass();
-    if (!want_packed) {
-      const auto params = make_weight_params(w, dtype, granularity, axis);
-      apply_quant_inplace(w, params);
-      return nullptr;
-    }
     CastTally tally;
     auto packed = quantize_standard(w, dtype, &tally);
     replay_tally(tally, fast_cast_spec(fp8_kind(dtype)).obs_fmt);
@@ -394,17 +391,6 @@ std::shared_ptr<const PackedFp8Tensor> quantize_weight_impl(Tensor& w, DType dty
     hist_record(HistChannel::kCacheMissNs, static_cast<double>(obs_now_ns() - t0));
   }
   return packed;
-}
-
-}  // namespace
-
-void quantize_weight_cached(Tensor& w, DType dtype, Granularity granularity, int axis) {
-  (void)quantize_weight_impl(w, dtype, granularity, axis, /*want_packed=*/false);
-}
-
-std::shared_ptr<const PackedFp8Tensor> quantize_weight_cached_packed(
-    Tensor& w, DType dtype, Granularity granularity, int axis) {
-  return quantize_weight_impl(w, dtype, granularity, axis, /*want_packed=*/true);
 }
 
 WeightCacheStats weight_cache_stats() {

@@ -30,7 +30,7 @@
 // payloads survive fake quantization but not an encode/decode round trip)
 // fall back to storing the FP32 payload, so hits are unconditionally
 // bit-exact either way. The verified packed form is also what
-// quantize_weight_cached_packed hands to the packed compute kernels.
+// quantize_weight_cached returns for the packed compute kernels.
 //
 // Capacity: bounded LRU, default 64 MB, configurable with the
 // FP8Q_WEIGHT_CACHE_MB environment variable (0 disables caching) or
@@ -56,19 +56,15 @@ namespace fp8q {
 /// axis)) bit-for-bit. Only the standard paper recipe (FP8 dtype,
 /// per-channel, axis 0) is cached; anything else falls through to the
 /// uncached path and counts as a bypass.
-void quantize_weight_cached(Tensor& w, DType dtype,
-                            Granularity granularity = Granularity::kPerChannel,
-                            int axis = 0);
-
-/// Same in-place quantization, but also returns the verified packed form
-/// of the quantized weight -- decode(code) * (1/scale) reproduces w's new
-/// contents bit for bit -- for attachment to an op's packed compute path
-/// (nn/packed_gemm.h). Returns nullptr when the recipe is not the standard
-/// cached one or the weight failed the decode check (e.g. NaN payloads);
-/// callers then stay on the FP32 path. Works with the cache disabled
-/// (FP8Q_WEIGHT_CACHE_MB=0): the packed form is built and verified either
-/// way, it just isn't retained.
-[[nodiscard]] std::shared_ptr<const PackedFp8Tensor> quantize_weight_cached_packed(
+///
+/// Also returns the verified packed form of the quantized weight --
+/// decode(code) * (1/scale) reproduces w's new contents bit for bit -- for
+/// attachment to an op's packed compute path (nn/packed_gemm.h). Returns
+/// nullptr when the recipe is not the standard cached one or the weight
+/// failed the decode check (e.g. NaN payloads); callers then stay on the
+/// FP32 path. Works with the cache disabled (FP8Q_WEIGHT_CACHE_MB=0): the
+/// packed form is built and verified either way, it just isn't retained.
+std::shared_ptr<const PackedFp8Tensor> quantize_weight_cached(
     Tensor& w, DType dtype, Granularity granularity = Granularity::kPerChannel,
     int axis = 0);
 

@@ -50,6 +50,13 @@ PackedWeightMatrix make_packed(std::uint64_t seed, std::int64_t n, std::int64_t 
   return pack_gemm_weight(PackedFp8Tensor::pack_per_channel(w, kind));
 }
 
+/// x [m, k] times the packed weight's decode as B^T: y [m, n], no bias.
+Tensor packed_gemm(const Tensor& x, const PackedWeightMatrix& w) {
+  Tensor y({x.size(0), w.n});
+  packed_gemm_forward(x.data(), w, nullptr, y.data(), x.size(0));
+  return y;
+}
+
 TEST(PackGemmWeight, TransposesCodesKMajorAndInvertsScales) {
   Rng rng(2);
   Tensor w = randn(rng, {5, 7});  // [n, k]
@@ -110,13 +117,13 @@ TEST(PackedGemm, AllTiersAndThreadCountsMatchTheScalarReference) {
 
       set_num_threads(1);
       set_isa_tier(IsaTier::kScalar);
-      const Tensor ref = packed_matmul(x, w);
+      const Tensor ref = packed_gemm(x, w);
 
       for (IsaTier tier : {IsaTier::kScalar, IsaTier::kNative}) {
         for (int threads : {1, 4, 8}) {
           set_num_threads(threads);
           set_isa_tier(tier);
-          const Tensor y = packed_matmul(x, w);
+          const Tensor y = packed_gemm(x, w);
           expect_bitwise_equal(y, ref, to_string(kind));
         }
       }
@@ -144,7 +151,7 @@ TEST(PackedGemm, BiasFlowsThroughEveryTier) {
 }
 
 TEST(PackedGemm, MatchesUnpackThenMatMulBitForBit) {
-  // The equivalence the bench baseline measures: packed_matmul must equal
+  // The equivalence the bench baseline measures: the packed GEMM must equal
   // dequantize-to-FP32 + MatMulOp with transpose_b exactly, so packed
   // compute is a performance choice, never a numerics change.
   DispatchGuard guard;
@@ -161,7 +168,7 @@ TEST(PackedGemm, MatchesUnpackThenMatMulBitForBit) {
 
     for (IsaTier tier : {IsaTier::kScalar, IsaTier::kNative}) {
       set_isa_tier(tier);
-      expect_bitwise_equal(packed_matmul(x, w), ref, to_string(kind));
+      expect_bitwise_equal(packed_gemm(x, w), ref, to_string(kind));
     }
   }
 }

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "core/cpu_dispatch.h"
 #include "metrics/metrics.h"
 #include "obs/counters.h"
 #include "nn/conv.h"
@@ -393,14 +392,22 @@ TEST(QuantizedGraph, QuantizedComputeFraction) {
   EXPECT_DOUBLE_EQ(quantized_compute_fraction(g, qn.quantized_nodes()), 0.0);
 }
 
+/// Detaches every Linear/Conv op's packed weight, so the next forward
+/// runs the FP32 path on the fake-quantized weight the ops still hold.
+void clear_packed_weights(Graph& g) {
+  for (int id = 0; id < g.node_count(); ++id) {
+    Op* op = g.node(id).op.get();
+    if (auto* lin = dynamic_cast<LinearOp*>(op)) lin->clear_packed_weight();
+    if (auto* conv = dynamic_cast<Conv2dOp*>(op)) conv->clear_packed_weight();
+  }
+}
+
 TEST(QuantizedGraph, PackedComputeIsBitIdenticalToDequantizedPath) {
   // Packed compute is a performance choice, never a numerics switch
   // (docs/KERNELS.md): the packed kernels must reproduce the
-  // dequantize-to-FP32 forward bit for bit, on MLPs and CNNs alike.
-  struct PackedToggleGuard {
-    ~PackedToggleGuard() { reset_packed_compute_enabled(); }
-  } guard;
-
+  // dequantize-to-FP32 forward bit for bit, on MLPs and CNNs alike. The
+  // reference is the same prepared graph run again with the packed
+  // weights detached.
   ModelQuantConfig cfg;
   cfg.scheme = standard_fp8_scheme(DType::kE4M3);
   cfg.scheme.skip_first_last = false;
@@ -411,27 +418,24 @@ TEST(QuantizedGraph, PackedComputeIsBitIdenticalToDequantizedPath) {
     Tensor x = randn(rng, {4, 16});
     auto calib = make_batches(rng, 2, {4, 16});
 
-    set_packed_compute_enabled(false);
-    Tensor ref;
-    {
-      QuantizedGraph qg(&g, cfg);
-      qg.prepare(std::span<const Tensor>(calib));
-      ref = qg.forward(x);
-    }
-    set_packed_compute_enabled(true);
     kernel_counters_reset();
     QuantizedGraph qg(&g, cfg);
     qg.prepare(std::span<const Tensor>(calib));
     const Tensor got = qg.forward(x);
+    // Every forward of a quantized Linear took the packed path: 2 ops
+    // across 2 calibration batches plus the eval forward, none on FP32.
+    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 6u);
+    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearFp32), 0u);
+
+    clear_packed_weights(g);
+    kernel_counters_reset();
+    const Tensor ref = qg.forward(x);
+    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 0u);
     ASSERT_EQ(ref.numel(), got.numel());
     for (std::int64_t i = 0; i < ref.numel(); ++i) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]), std::bit_cast<std::uint32_t>(got[i]))
           << i;
     }
-    // Every forward of a quantized Linear took the packed path: 2 ops
-    // across 2 calibration batches plus the eval forward, none on FP32.
-    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 6u);
-    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearFp32), 0u);
   }
 
   {
@@ -446,24 +450,22 @@ TEST(QuantizedGraph, PackedComputeIsBitIdenticalToDequantizedPath) {
     Tensor x = randn(rng, {2, 3, 8, 8});
     auto calib = make_batches(rng, 2, {2, 3, 8, 8});
 
-    set_packed_compute_enabled(false);
-    Tensor ref;
-    {
-      QuantizedGraph qg(&g, cfg);
-      qg.prepare(std::span<const Tensor>(calib));
-      ref = qg.forward(x);
-    }
-    set_packed_compute_enabled(true);
     kernel_counters_reset();
     QuantizedGraph qg(&g, cfg);
     qg.prepare(std::span<const Tensor>(calib));
     const Tensor got = qg.forward(x);
+    // 1 conv op x (2 calibration batches + 1 eval forward), all packed.
+    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kConvPacked), 3u);
+
+    clear_packed_weights(g);
+    kernel_counters_reset();
+    const Tensor ref = qg.forward(x);
+    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kConvPacked), 0u);
+    ASSERT_EQ(ref.numel(), got.numel());
     for (std::int64_t i = 0; i < ref.numel(); ++i) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]), std::bit_cast<std::uint32_t>(got[i]))
           << i;
     }
-    // 1 conv op x (2 calibration batches + 1 eval forward), all packed.
-    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kConvPacked), 3u);
   }
 }
 
@@ -471,11 +473,6 @@ TEST(QuantizedGraph, RestoreClearsPackedWeights) {
   // After the QuantizedGraph restores FP32 weights, the ops must not keep
   // serving stale packed codes: the original graph's forward has to match
   // its pre-quantization output exactly.
-  struct PackedToggleGuard {
-    ~PackedToggleGuard() { reset_packed_compute_enabled(); }
-  } guard;
-  set_packed_compute_enabled(true);
-
   Rng rng(53);
   Graph g = make_mlp(rng);
   Tensor x = randn(rng, {4, 16});

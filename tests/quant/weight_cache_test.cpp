@@ -232,13 +232,13 @@ TEST_F(WeightCacheTest, PackedEntriesAreRoughlyQuarterOfFp32Bytes) {
 
 TEST_F(WeightCacheTest, PackedHandleDecodesBitIdenticalOnMissAndHit) {
   Tensor w1 = make_weight(21);
-  const auto p1 = quantize_weight_cached_packed(w1, DType::kE4M3);
+  const auto p1 = quantize_weight_cached(w1, DType::kE4M3);
   ASSERT_NE(p1, nullptr);
   expect_bitwise_equal(w1, uncached_quantize(make_weight(21), DType::kE4M3));
   expect_bitwise_equal(p1->unpack(), w1);  // codes decode to the payload
 
   Tensor w2 = make_weight(21);
-  const auto p2 = quantize_weight_cached_packed(w2, DType::kE4M3);
+  const auto p2 = quantize_weight_cached(w2, DType::kE4M3);
   ASSERT_NE(p2, nullptr);
   EXPECT_EQ(delta().hits, 1u);
   EXPECT_EQ(p2.get(), p1.get());  // the hit shares the cached codes
@@ -250,7 +250,7 @@ TEST_F(WeightCacheTest, ZeroCapacityStillReturnsPackedCodes) {
   // graph still gets codes to attach, recomputed per call.
   set_weight_cache_capacity_bytes(0);
   Tensor w = make_weight(22);
-  const auto packed = quantize_weight_cached_packed(w, DType::kE3M4);
+  const auto packed = quantize_weight_cached(w, DType::kE3M4);
   ASSERT_NE(packed, nullptr);
   EXPECT_EQ(delta().entries, 0u);
   EXPECT_EQ(delta().bypasses, 1u);
@@ -267,23 +267,22 @@ TEST_F(WeightCacheTest, NonFinitePayloadFallsBackToFp32Entry) {
   Tensor w = make_weight(23);
   w.flat()[5] = std::bit_cast<float>(0xFFC00001u);
   Tensor copy = w;
-  const auto packed = quantize_weight_cached_packed(copy, DType::kE4M3);
+  const auto packed = quantize_weight_cached(copy, DType::kE4M3);
   EXPECT_EQ(packed, nullptr);
   expect_bitwise_equal(copy, uncached_quantize(w, DType::kE4M3));
 
   // And the FP32 fallback entry serves hits bit-identically too.
   Tensor again = w;
-  EXPECT_EQ(quantize_weight_cached_packed(again, DType::kE4M3), nullptr);
+  EXPECT_EQ(quantize_weight_cached(again, DType::kE4M3), nullptr);
   EXPECT_EQ(delta().hits, 1u);
   expect_bitwise_equal(again, copy);
 }
 
 TEST_F(WeightCacheTest, NonStandardRecipeYieldsNoPackedHandle) {
   Tensor w = make_weight(24);
-  EXPECT_EQ(quantize_weight_cached_packed(w, DType::kINT8), nullptr);
+  EXPECT_EQ(quantize_weight_cached(w, DType::kINT8), nullptr);
   Tensor v = make_weight(24);
-  EXPECT_EQ(quantize_weight_cached_packed(v, DType::kE4M3, Granularity::kPerTensor),
-            nullptr);
+  EXPECT_EQ(quantize_weight_cached(v, DType::kE4M3, Granularity::kPerTensor), nullptr);
   EXPECT_EQ(delta().bypasses, 2u);
 }
 

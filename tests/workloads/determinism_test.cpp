@@ -58,12 +58,12 @@ TEST(Determinism, BulkCastBitIdenticalAcrossThreadCounts) {
 
   set_num_threads(1);
   std::vector<float> serial(in.size());
-  fp8_quantize_scaled_fast(in, serial, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
+  fp8_quantize_scaled(in, serial, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
 
   for (int threads : {2, 8}) {
     set_num_threads(threads);
     std::vector<float> parallel(in.size());
-    fp8_quantize_scaled_fast(in, parallel, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
+    fp8_quantize_scaled(in, parallel, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
     for (size_t i = 0; i < in.size(); ++i) {
       ASSERT_EQ(serial[i], parallel[i]) << "threads=" << threads << " i=" << i;
     }
@@ -135,7 +135,7 @@ TEST(Determinism, CastMagnitudeHistogramInvariantAcrossThreadCounts) {
   auto run_at = [&](int threads) {
     histograms_reset();
     set_num_threads(threads);
-    fp8_quantize_scaled_fast(in, out, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
+    fp8_quantize_scaled(in, out, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
     return histogram_snapshot(HistChannel::kCastMagE4M3);
   };
   const HistogramSnapshot serial = run_at(1);
@@ -162,10 +162,10 @@ TEST(Determinism, HistogramsDoNotPerturbCastOutputs) {
   std::vector<float> histed(in.size());
 
   set_histograms_enabled(false);
-  fp8_quantize_scaled_fast(in, plain, fast_cast_spec(Fp8Kind::E3M4), 1.7f);
+  fp8_quantize_scaled(in, plain, fast_cast_spec(Fp8Kind::E3M4), 1.7f);
   set_histograms_enabled(true);
   histograms_reset();
-  fp8_quantize_scaled_fast(in, histed, fast_cast_spec(Fp8Kind::E3M4), 1.7f);
+  fp8_quantize_scaled(in, histed, fast_cast_spec(Fp8Kind::E3M4), 1.7f);
   set_histograms_enabled(false);
   histograms_reset();
 
